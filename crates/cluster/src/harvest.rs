@@ -60,7 +60,7 @@ pub(crate) fn build_nodes(
         let shard = ShardId(shard);
         let sites = map.sites_of(shard);
         for &site in &sites {
-            let mut nc = NodeConfig::new(site, map.catalog(shard).clone(), cfg.t_bound);
+            let mut nc = NodeConfig::new(site, Arc::clone(map.catalog(shard)), cfg.t_bound);
             nc.group_commit = cfg.group_commit;
             if let Some(w) = cfg.group_commit_window {
                 nc.group_commit_window = w;

@@ -106,12 +106,14 @@ pub fn two_shard_host(
         .copies_at([SiteId(0), SiteId(1)])
         .quorums(1, 2)
         .build()
+        .map(Arc::new)
         .expect("static catalog");
     let shard_b = CatalogBuilder::new()
         .item(ItemId(1), "b")
         .copies_at([SiteId(2)])
         .quorums(1, 1)
         .build()
+        .map(Arc::new)
         .expect("static catalog");
     let parent = SiteId(0);
     let branches = vec![
@@ -141,7 +143,7 @@ pub fn two_shard_host(
         .map(|s| (s, &shard_a))
         .chain([(SiteId(2), &shard_b)])
         .map(|(s, cat)| {
-            let cfg = customize(NodeConfig::new(s, cat.clone(), T_BOUND));
+            let cfg = customize(NodeConfig::new(s, Arc::clone(cat), T_BOUND));
             (s, SiteNode::new(cfg, |_| 0))
         })
         .collect();
@@ -175,12 +177,14 @@ pub fn client_parent_host(
         .copies_at([SiteId(1)])
         .quorums(1, 1)
         .build()
+        .map(Arc::new)
         .expect("static catalog");
     let shard_b = CatalogBuilder::new()
         .item(ItemId(1), "b")
         .copies_at([SiteId(2)])
         .quorums(1, 1)
         .build()
+        .map(Arc::new)
         .expect("static catalog");
     let parent = SiteId(0);
     let branches = vec![
@@ -209,7 +213,7 @@ pub fn client_parent_host(
         .into_iter()
         .chain([(SiteId(2), &shard_b)])
         .map(|(s, cat)| {
-            let cfg = customize(NodeConfig::new(s, cat.clone(), T_BOUND));
+            let cfg = customize(NodeConfig::new(s, Arc::clone(cat), T_BOUND));
             (s, SiteNode::new(cfg, |_| 0))
         })
         .collect();

@@ -7,6 +7,7 @@ use qbc_core::{Decision, WriteSet};
 use qbc_db::ReadResult;
 use qbc_simnet::{Duration, SiteId, Time};
 use qbc_votes::ItemId;
+use std::sync::Arc;
 
 /// A writeset of one or two items within one shard, varied by index.
 fn writeset(cluster: &SimCluster, shard: ShardId, k: u64) -> WriteSet {
@@ -203,4 +204,34 @@ fn determinism_same_seed_same_metrics() {
         )
     };
     assert_eq!(run(), run());
+}
+
+#[test]
+fn every_site_shares_its_shards_catalog() {
+    // The catalog is immutable and can be large (one entry per item), so
+    // the map and every site of a shard must hold one allocation, not a
+    // copy each. Snapshot reads on: site construction also walks the
+    // catalog for watermark peers.
+    let cfg = ClusterConfig {
+        shards: 3,
+        snapshot_reads: true,
+        ..Default::default()
+    };
+    let cluster = SimCluster::new(cfg);
+    let map = cluster.map();
+    for shard in (0..map.shards()).map(ShardId) {
+        let catalog = map.catalog(shard);
+        for site in map.sites_iter(shard) {
+            let node = cluster.sim().node(site);
+            assert!(
+                Arc::ptr_eq(node.catalog(), catalog),
+                "{site} holds a copy of {shard}'s catalog"
+            );
+        }
+    }
+    let copy = map.clone();
+    assert!(Arc::ptr_eq(
+        copy.catalog(ShardId(0)),
+        map.catalog(ShardId(0))
+    ));
 }

@@ -39,8 +39,11 @@ pub enum WalBackendConfig {
 pub struct NodeConfig {
     /// This site's id.
     pub site: SiteId,
-    /// The shared replication catalog (copy placement, `r`/`w` quorums).
-    pub catalog: Catalog,
+    /// The replication catalog (copy placement, `r`/`w` quorums). It is
+    /// immutable, so every site of a shard holds the same allocation:
+    /// cloning a config (or a [`crate::SiteNode`]) bumps a reference
+    /// count instead of copying one entry per item.
+    pub catalog: Arc<Catalog>,
     /// Site-vote parameters, required when any transaction runs
     /// [`ProtocolKind::SkeenQuorum`].
     pub site_votes: Option<SiteVotes>,
@@ -172,11 +175,13 @@ pub struct NodeConfig {
 }
 
 impl NodeConfig {
-    /// A configuration with conventional defaults.
-    pub fn new(site: SiteId, catalog: Catalog, t_bound: Duration) -> Self {
+    /// A configuration with conventional defaults. Pass an
+    /// `Arc<Catalog>` cloned per site to share one catalog across a
+    /// cluster; an owned `Catalog` is moved into a fresh `Arc`.
+    pub fn new(site: SiteId, catalog: impl Into<Arc<Catalog>>, t_bound: Duration) -> Self {
         NodeConfig {
             site,
-            catalog,
+            catalog: catalog.into(),
             site_votes: None,
             t_bound,
             vote_no_on: BTreeSet::new(),

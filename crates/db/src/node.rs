@@ -223,7 +223,6 @@ enum DeferredOp {
 #[derive(Clone)]
 pub struct SiteNode {
     cfg: NodeConfig,
-    catalog: Arc<Catalog>,
     storage: SiteStorage<LogRecord, i64, NodeWal>,
     locks: LockManager<ItemId, TxnId>,
     /// Per-transaction state. A (deterministic) hash map: the table
@@ -342,7 +341,6 @@ impl SiteNode {
     /// When the file-backed log cannot be opened (I/O error or non-tail
     /// corruption): a site without its log has no safe way to run.
     pub fn new(cfg: NodeConfig, initial_values: impl Fn(ItemId) -> i64) -> Self {
-        let catalog = Arc::new(cfg.catalog.clone());
         let wal = match &cfg.wal_backend {
             WalBackendConfig::Memory => EitherWal::Mem(Wal::new()),
             WalBackendConfig::File {
@@ -362,27 +360,23 @@ impl SiteNode {
         };
         let mut storage = SiteStorage::with_wal(wal);
         storage.set_version_retention(cfg.version_retention.max(1));
-        for item in catalog.items_at(cfg.site) {
-            storage.initialize_item(item, initial_values(item));
-        }
-        // The shard watermark is bounded by every other site that holds
-        // a copy of anything this site hosts: those are exactly the
-        // sites whose in-flight transactions can pin a local copy.
-        let wm_peers: Vec<SiteId> = if cfg.snapshot_reads {
-            let mut peers: BTreeSet<SiteId> = BTreeSet::new();
-            for item in catalog.items_at(cfg.site) {
-                if let Some(spec) = catalog.item(item) {
+        // One walk over the shared catalog loads every local copy and
+        // collects the shard-watermark peers: every other site holding
+        // a copy of anything this site hosts — exactly the sites whose
+        // in-flight transactions can pin a local copy.
+        let mut peers: BTreeSet<SiteId> = BTreeSet::new();
+        for spec in cfg.catalog.items() {
+            if spec.copies.contains_key(&cfg.site) {
+                storage.initialize_item(spec.id, initial_values(spec.id));
+                if cfg.snapshot_reads {
                     peers.extend(spec.sites());
                 }
             }
-            peers.remove(&cfg.site);
-            peers.into_iter().collect()
-        } else {
-            Vec::new()
-        };
+        }
+        peers.remove(&cfg.site);
+        let wm_peers: Vec<SiteId> = peers.into_iter().collect();
         SiteNode {
             cfg,
-            catalog,
             storage,
             locks: LockManager::new(),
             txns: FastMap::default(),
@@ -421,6 +415,12 @@ impl SiteNode {
     /// This site's id.
     pub fn site(&self) -> SiteId {
         self.cfg.site
+    }
+
+    /// The replication catalog this site decides from — the same
+    /// allocation its configuration was built with (shared, not copied).
+    pub fn catalog(&self) -> &Arc<Catalog> {
+        &self.cfg.catalog
     }
 
     // ---- public inspection API (used by the harness and tests) --------
@@ -705,7 +705,7 @@ impl SiteNode {
             self.cfg.site,
             writeset,
             protocol,
-            &self.catalog,
+            &self.cfg.catalog,
         ));
         let state = self.ensure_txn(ctx.now(), &spec);
         state.started_at = ctx.now();
@@ -818,7 +818,7 @@ impl SiteNode {
 
     /// Starts a quorum read of `item`, collecting `r(item)` votes.
     pub fn start_read(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, req_id: u64, item: ItemId) {
-        let Some(spec) = self.catalog.item(item) else {
+        let Some(spec) = self.cfg.catalog.item(item) else {
             // Unknown item: an immediately-Unavailable collector, on the
             // same retirement path as every other read (it used to leak
             // here forever — no timer ever referenced it).
@@ -865,7 +865,7 @@ impl SiteNode {
         req_id: u64,
         item: ItemId,
     ) {
-        let Some(spec) = self.catalog.item(item) else {
+        let Some(spec) = self.cfg.catalog.item(item) else {
             self.snap_reads.insert(
                 req_id,
                 SnapReadCollect {
@@ -1498,14 +1498,10 @@ impl SiteNode {
                 self.start_snapshot_read(ctx, req_id, item);
             }
             NetMsg::ReadRep { req_id, item, copy } => {
-                let Some(weight) = self.catalog.item(item).map(|spec| spec.weight_at(from)) else {
+                let Some(spec) = self.cfg.catalog.item(item) else {
                     return;
                 };
-                let read_quorum = self
-                    .catalog
-                    .item(item)
-                    .map(|s| s.read_quorum)
-                    .unwrap_or(u32::MAX);
+                let (weight, read_quorum) = (spec.weight_at(from), spec.read_quorum);
                 if let Some(r) = self.reads.get_mut(&req_id) {
                     if r.result != ReadResult::Pending || r.item != item {
                         return;
@@ -1724,9 +1720,11 @@ impl SiteNode {
             Version::INITIAL
         };
 
-        let catalog = Arc::clone(&self.catalog);
         let mut actions = self.take_actions();
         {
+            // A plain borrow, disjoint from `txns`: no reference-count
+            // traffic on the shared catalog per message.
+            let catalog: &Catalog = &self.cfg.catalog;
             let st = self.txns.get_mut(&txn).expect("checked");
             st.last_coord_contact = ctx.now();
             match &m {
@@ -1734,7 +1732,7 @@ impl SiteNode {
                     yes, max_version, ..
                 } => {
                     if let Some(c) = st.coordinator.as_mut() {
-                        c.on_vote(from, *yes, *max_version, &catalog, &mut actions);
+                        c.on_vote(from, *yes, *max_version, catalog, &mut actions);
                     } else if let Some(p) = st.paxos.as_mut() {
                         p.on_vote(from, *yes, *max_version, &mut actions);
                     }
@@ -1751,15 +1749,15 @@ impl SiteNode {
                 }
                 Msg::PcAck { .. } => {
                     if let Some(c) = st.coordinator.as_mut() {
-                        c.on_pc_ack(from, &catalog, &mut actions);
+                        c.on_pc_ack(from, catalog, &mut actions);
                     }
                     if let Some(t) = st.termination.as_mut() {
-                        actions.extend(t.on_pc_ack(from, &catalog));
+                        actions.extend(t.on_pc_ack(from, catalog));
                     }
                 }
                 Msg::PaAck { .. } => {
                     if let Some(t) = st.termination.as_mut() {
-                        actions.extend(t.on_pa_ack(from, &catalog));
+                        actions.extend(t.on_pa_ack(from, catalog));
                     }
                 }
                 Msg::StateRep {
@@ -1769,7 +1767,7 @@ impl SiteNode {
                     ..
                 } => {
                     if let Some(t) = st.termination.as_mut() {
-                        actions.extend(t.on_state_rep(from, *round, *state, *pc_version, &catalog));
+                        actions.extend(t.on_state_rep(from, *round, *state, *pc_version, catalog));
                     }
                 }
                 Msg::Decided {
@@ -2050,7 +2048,8 @@ impl SiteNode {
             .writeset
             .items()
             .filter(|&i| {
-                self.catalog
+                self.cfg
+                    .catalog
                     .item(i)
                     .map(|s| s.copies.contains_key(&self.cfg.site))
                     .unwrap_or(false)
@@ -2484,7 +2483,6 @@ impl Process for SiteNode {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, _id: TimerId, timer: NodeTimer) {
         self.sweep_retired(ctx.now());
-        let catalog = Arc::clone(&self.catalog);
         match timer {
             NodeTimer::Proto(kind) => match kind {
                 TimerKind::VoteCollection { txn } => {
@@ -2533,7 +2531,7 @@ impl Process for SiteNode {
                         .get_mut(&txn)
                         .and_then(|st| st.coordinator.as_mut())
                     {
-                        c.on_ack_timer(&catalog, &mut actions);
+                        c.on_ack_timer(&self.cfg.catalog, &mut actions);
                     }
                     self.apply_actions(ctx, txn, self.cfg.site, actions);
                     self.adopt_coordinator_decision(ctx.now(), txn);
@@ -2543,7 +2541,7 @@ impl Process for SiteNode {
                         .txns
                         .get_mut(&txn)
                         .and_then(|st| st.termination.as_mut())
-                        .map(|t| t.on_state_timer(round, &catalog))
+                        .map(|t| t.on_state_timer(round, &self.cfg.catalog))
                         .unwrap_or_default();
                     self.apply_actions(ctx, txn, self.cfg.site, actions);
                 }
@@ -2552,7 +2550,7 @@ impl Process for SiteNode {
                         .txns
                         .get_mut(&txn)
                         .and_then(|st| st.termination.as_mut())
-                        .map(|t| t.on_acks_timer(round, &catalog))
+                        .map(|t| t.on_acks_timer(round, &self.cfg.catalog))
                         .unwrap_or_default();
                     self.apply_actions(ctx, txn, self.cfg.site, actions);
                 }
@@ -3180,7 +3178,8 @@ impl qbc_simnet::Fingerprint for SiteNode {
     }
 }
 
-/// Convenience: builds one [`SiteNode`] per site over a shared catalog.
+/// Convenience: builds one [`SiteNode`] per site over a shared catalog
+/// (copied once into an `Arc` that every site's config shares).
 ///
 /// `sites` should cover every site appearing in the catalog (plus any
 /// extra client-only sites). Initial values default to zero.
@@ -3190,10 +3189,11 @@ pub fn build_cluster(
     t_bound: qbc_simnet::Duration,
     mut customize: impl FnMut(NodeConfig) -> NodeConfig,
 ) -> Vec<(SiteId, SiteNode)> {
+    let catalog = Arc::new(catalog.clone());
     sites
         .into_iter()
         .map(|s| {
-            let cfg = customize(NodeConfig::new(s, catalog.clone(), t_bound));
+            let cfg = customize(NodeConfig::new(s, Arc::clone(&catalog), t_bound));
             (s, SiteNode::new(cfg, |_| 0))
         })
         .collect()

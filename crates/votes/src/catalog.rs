@@ -64,15 +64,6 @@ impl Catalog {
         self.items.is_empty()
     }
 
-    /// The items stored (replicated) at a given site.
-    pub fn items_at(&self, site: SiteId) -> BTreeSet<ItemId> {
-        self.items
-            .values()
-            .filter(|s| s.copies.contains_key(&site))
-            .map(|s| s.id)
-            .collect()
-    }
-
     /// The participant set of a transaction: every site holding a copy of
     /// any item in its writeset. (The paper's commit protocol distributes
     /// update values "to all sites which contain data items to be
@@ -257,14 +248,6 @@ mod tests {
                 .into_iter()
                 .collect()
         );
-    }
-
-    #[test]
-    fn items_at_reports_placement() {
-        let c = example1_catalog();
-        assert_eq!(c.items_at(SiteId(2)), [ItemId(0)].into());
-        assert_eq!(c.items_at(SiteId(7)), [ItemId(1)].into());
-        assert!(c.items_at(SiteId(99)).is_empty());
     }
 
     #[test]

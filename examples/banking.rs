@@ -14,6 +14,7 @@ use quorum_commit::core::{Decision, ProtocolKind, TxnId, WriteSet};
 use quorum_commit::db::{ReadResult, SiteNode};
 use quorum_commit::simnet::{sites, DelayModel, Duration, Sim, SimConfig, SiteId, Time};
 use quorum_commit::votes::{analyze, CatalogBuilder, ItemId};
+use std::sync::Arc;
 
 const ALICE: ItemId = ItemId(0);
 const BOB: ItemId = ItemId(1);
@@ -32,13 +33,14 @@ fn main() {
         .copies_at([SiteId(0), SiteId(1), SiteId(4), SiteId(5)])
         .quorums(2, 3)
         .build()
+        .map(Arc::new)
         .expect("valid catalog");
 
     // Every account starts with 100 units.
     let nodes: Vec<(SiteId, SiteNode)> = sites(6)
         .into_iter()
         .map(|s| {
-            let cfg = quorum_commit::db::NodeConfig::new(s, catalog.clone(), Duration(10));
+            let cfg = quorum_commit::db::NodeConfig::new(s, Arc::clone(&catalog), Duration(10));
             (s, SiteNode::new(cfg, |_| 100))
         })
         .collect();

@@ -7,6 +7,7 @@ use quorum_commit::db::{NetMsg, NodeConfig, SiteNode};
 use quorum_commit::simnet::threaded::{ThreadedConfig, ThreadedNet};
 use quorum_commit::simnet::{sites, Duration, SiteId};
 use quorum_commit::votes::{CatalogBuilder, ItemId};
+use std::sync::Arc;
 
 fn cluster(n: u32) -> Vec<(SiteId, SiteNode)> {
     let catalog = CatalogBuilder::new()
@@ -14,13 +15,14 @@ fn cluster(n: u32) -> Vec<(SiteId, SiteNode)> {
         .copies_at(sites(n))
         .majority()
         .build()
+        .map(Arc::new)
         .unwrap();
     sites(n)
         .into_iter()
         .map(|s| {
             // Timer ticks map to milliseconds on the threaded runtime;
             // keep T small so watchdogs stay responsive in test time.
-            let cfg = NodeConfig::new(s, catalog.clone(), Duration(20));
+            let cfg = NodeConfig::new(s, Arc::clone(&catalog), Duration(20));
             (s, SiteNode::new(cfg, |_| 0))
         })
         .collect()
