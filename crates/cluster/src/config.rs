@@ -32,17 +32,25 @@ pub struct ClusterConfig {
     /// RNG seed of the deterministic substrate.
     pub seed: u64,
     /// Enable group-commit batching at every site
-    /// (see [`qbc_db::NodeConfig::group_commit`]).
+    /// (see [`qbc_db::NodeConfig::group_commit`]). Read by
+    /// [`crate::SimCluster`] and [`crate::ThreadedCluster`];
+    /// [`crate::ReactorCluster`] sites always batch, forcing once per
+    /// event-loop turn (see [`qbc_db::NodeConfig::event_loop`]).
     pub group_commit: bool,
-    /// Batch window; `None` keeps the per-node default (`T/2`).
+    /// Batch window; `None` keeps the per-node default (`T/2`). Not
+    /// read by [`crate::ReactorCluster`], which sets no flush timer.
     pub group_commit_window: Option<Duration>,
-    /// Force a batch early at this many staged records.
+    /// Force a batch early at this many staged records. Not read by
+    /// [`crate::ReactorCluster`].
     pub group_commit_max_batch: usize,
     /// Size each site's group-commit window from the observed
     /// log-device backlog instead of the static constant (see
     /// [`qbc_db::NodeConfig::adaptive_commit_window`]). Off by default.
+    /// Not read by [`crate::ReactorCluster`].
     pub adaptive_commit_window: bool,
-    /// Simulated latency of one WAL force (serial log device).
+    /// Simulated latency of one WAL force (serial log device). The
+    /// simulator's device model: [`crate::ReactorCluster`] sites pay
+    /// the real device's force time instead and do not read it.
     pub force_latency: Duration,
     /// Retire decided per-transaction state at every site this long
     /// after the decision (see [`qbc_db::NodeConfig::retire_after`]).

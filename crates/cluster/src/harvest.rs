@@ -47,13 +47,13 @@ pub(crate) fn first_fresh_txn(nodes: &[(SiteId, SiteNode)]) -> u64 {
 }
 
 /// Builds one configured [`SiteNode`] per cluster site (initial item
-/// values zero), ready for any substrate. `decision_events` is on for
+/// values zero), ready for any substrate. `event_loop` is on for
 /// push-style front-ends (the reactor) and off for the polling ones.
 pub(crate) fn build_nodes(
     cfg: &ClusterConfig,
     map: &ShardMap,
     obs: Option<&Arc<Obs>>,
-    decision_events: bool,
+    event_loop: bool,
 ) -> Vec<(SiteId, SiteNode)> {
     let mut nodes = Vec::with_capacity(cfg.total_sites() as usize);
     for shard in 0..cfg.shards {
@@ -73,7 +73,7 @@ pub(crate) fn build_nodes(
             nc.checkpoint_interval = cfg.checkpoint_interval;
             nc.checkpoint_bytes = cfg.checkpoint_bytes;
             nc.snapshot_reads = cfg.snapshot_reads;
-            nc.decision_events = decision_events;
+            nc.event_loop = event_loop;
             nc.version_retention = cfg.version_retention;
             if let Some(obs) = obs {
                 nc.obs = Some(Arc::clone(obs));

@@ -1,12 +1,15 @@
 //! The reactor front-end: differential conformance against the
-//! threaded baseline, backpressure isolation, and coordinator-kill
-//! resubmission. Wall-clock tests — kept small and time-bounded like
-//! the threaded suite; the deterministic substrate carries the
-//! correctness evidence.
+//! threaded baseline, backpressure isolation, coordinator-kill
+//! resubmission, and per-loop-turn group commit on file WALs.
+//! Wall-clock tests — kept small and time-bounded like the threaded
+//! suite; the deterministic substrate carries the correctness evidence.
 
-use qbc_cluster::{ClusterConfig, Outcome, ReactorCluster, ReactorConfig, ThreadedCluster};
+use qbc_cluster::{
+    ClusterConfig, Outcome, ReactorCluster, ReactorConfig, SimCluster, ThreadedCluster,
+};
 use qbc_core::{Decision, WriteSet};
 use qbc_simnet::Duration;
+use qbc_storage::TempDir;
 use qbc_votes::ItemId;
 use std::io::Write as _;
 use std::os::unix::net::UnixStream;
@@ -115,9 +118,10 @@ fn a_slow_client_does_not_stall_other_sessions() {
             .map(|i| cluster.submit(vec![(ItemId(i), round * 10 + i as i64)]))
             .collect();
         for h in handles {
+            let o = h.wait();
             assert!(
-                matches!(h.wait(), Outcome::Committed { .. }),
-                "well-behaved session starved in round {round}"
+                matches!(o, Outcome::Committed { .. }),
+                "well-behaved session starved in round {round}: {o:?}"
             );
         }
     }
@@ -205,4 +209,61 @@ fn killing_the_coordinator_resubmits_to_a_survivor() {
 
     let report = cluster.shutdown();
     assert_eq!(report.atomicity_violations, vec![]);
+}
+
+/// A burst of concurrent writes on file WALs: the event loop forces each
+/// site's log once per turn, so many records share one force. Every
+/// acknowledged commit must then survive a restart from the same
+/// directories.
+#[test]
+fn durable_sites_share_forces_and_recover_every_acknowledged_commit() {
+    let dir = TempDir::new("reactor-durable");
+    let cfg = || {
+        ClusterConfig {
+            items_per_shard: 256,
+            // Generous: a burst queued behind real fsyncs must never
+            // trip a vote timer.
+            t_bound: Duration(2_000),
+            seed: 13,
+            ..Default::default()
+        }
+        .with_wal_dir(dir.path())
+    };
+    let cluster = ReactorCluster::spawn(cfg(), ReactorConfig::default());
+    // One write per item: conflict-free, so every session must commit.
+    let handles: Vec<_> = (0..500u32)
+        .map(|i| cluster.submit(vec![(ItemId(i), i as i64 + 1)]))
+        .collect();
+    let acked: Vec<_> = handles
+        .into_iter()
+        .map(|h| match h.wait() {
+            Outcome::Committed { txn, .. } => txn,
+            other => panic!("durable session ended {other:?}"),
+        })
+        .collect();
+    let report = cluster.shutdown();
+    assert_eq!(report.atomicity_violations, vec![]);
+    let records: u64 = report.metrics.shards.iter().map(|s| s.wal_records).sum();
+    let forces = report.metrics.total_wal_forces();
+    assert!(
+        records >= 4 * forces,
+        "{records} records over {forces} forces: the burst was not batched"
+    );
+
+    // Reopen the same directories on the deterministic substrate: every
+    // site replays its log on startup.
+    let mut restarted = SimCluster::new(cfg());
+    assert!(restarted.run_to_quiescence(50_000_000).drained());
+    for txn in acked {
+        let decisions: Vec<Decision> = restarted
+            .map()
+            .all_sites()
+            .into_iter()
+            .filter_map(|s| restarted.sim().node(s).decision(txn))
+            .collect();
+        assert!(
+            !decisions.is_empty() && decisions.iter().all(|d| *d == Decision::Commit),
+            "acknowledged {txn:?} recovered as {decisions:?}"
+        );
+    }
 }

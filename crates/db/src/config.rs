@@ -72,9 +72,15 @@ pub struct NodeConfig {
     /// decision applications that depend on a staged record are withheld
     /// until its batch is forced, so the durability contract (logged
     /// before told) is preserved exactly.
+    ///
+    /// Read by timer-driven hosts only (the simulator, the threaded
+    /// transport, the model checker). An [`NodeConfig::event_loop`]
+    /// site ignores it: it always stages, and its host forces once per
+    /// loop turn.
     pub group_commit: bool,
     /// How long the first staged record of a batch waits for companions
-    /// before the batch is forced.
+    /// before the batch is forced. Timer-driven hosts only; ignored by
+    /// [`NodeConfig::event_loop`] sites, which set no flush timer.
     pub group_commit_window: Duration,
     /// Size the batch window from the observed log-device backlog
     /// instead of the static constant: while the device is busy the
@@ -83,14 +89,20 @@ pub struct NodeConfig {
     /// idle device it collapses to one tick so light load is not taxed
     /// a full window of latency per decision. Off by default (the
     /// static-window behaviour, and the golden digests, are unchanged).
+    /// Timer-driven hosts only; ignored by [`NodeConfig::event_loop`]
+    /// sites.
     pub adaptive_commit_window: bool,
     /// Force the batch early once this many records are staged.
+    /// Timer-driven hosts only; an [`NodeConfig::event_loop`] site's
+    /// batch is whatever one loop turn staged.
     pub group_commit_max_batch: usize,
     /// Simulated latency of one WAL force. The log device is serial:
     /// a force issued while another is in flight starts only after it
     /// completes — the contention that makes group commit pay at high
     /// concurrency. Zero (the default) keeps the seed's instant-force
-    /// model and changes nothing.
+    /// model and changes nothing. This is the simulator's device model:
+    /// an [`NodeConfig::event_loop`] site ignores it, because its
+    /// forces cost whatever the real device charges.
     pub force_latency: Duration,
     /// Retire decided per-transaction state this long after the
     /// decision (the `DECIDED` re-announce window): the heavy
@@ -110,13 +122,25 @@ pub struct NodeConfig {
     /// [`NodeConfig::retire_after`]; `None` (the default) keeps retired
     /// outcomes forever (the pre-aging behaviour).
     pub retire_horizon: Option<Duration>,
-    /// Record every local decision transition in a host-drainable event
-    /// queue ([`crate::SiteNode::drain_decision_events`]). Push-style
-    /// front-ends (the reactor runtime) use it to answer client
-    /// sessions the moment their transaction decides, instead of
-    /// polling node state. Off by default: nothing is queued, no
-    /// behaviour changes, and the golden digests are untouched.
-    pub decision_events: bool,
+    /// The site is hosted by an event loop (the reactor runtime) that
+    /// calls [`qbc_simnet::Process::on_quiesce`] at the end of every
+    /// loop turn. Such a site:
+    ///
+    /// * stages every engine log record and forces the staged batch
+    ///   from `on_quiesce` — one write and one force per loop turn,
+    ///   with no flush timer or window (the group-commit and
+    ///   force-latency fields above are not read);
+    /// * keeps messages, decision applications and decision events
+    ///   behind that force, so logged-before-told holds;
+    /// * records every local decision transition in a host-drainable
+    ///   queue ([`crate::SiteNode::drain_decision_events`]), so the
+    ///   front door answers a client session the moment its
+    ///   transaction decides instead of polling node state.
+    ///
+    /// Off by default: the simulator, threaded and model-checker hosts
+    /// never quiesce a site, and their behaviour and golden digests are
+    /// untouched.
+    pub event_loop: bool,
     /// Which WAL backend this site's stable storage runs on.
     pub wal_backend: WalBackendConfig,
     /// Write a [`qbc_core::LogRecord::Checkpoint`] (and truncate the
@@ -196,7 +220,7 @@ impl NodeConfig {
             force_latency: Duration::ZERO,
             retire_after: None,
             retire_horizon: None,
-            decision_events: false,
+            event_loop: false,
             wal_backend: WalBackendConfig::Memory,
             checkpoint_interval: None,
             checkpoint_bytes: None,
@@ -309,8 +333,13 @@ impl NodeConfig {
     /// durability: one batch window (if batching) plus one force. The
     /// paper's timeout arithmetic assumes `T` bounds end-to-end delay;
     /// with a modeled log device, collection windows must budget for
-    /// the sender-side storage stall too.
+    /// the sender-side storage stall too. Zero for an
+    /// [`NodeConfig::event_loop`] site, which models no device: its
+    /// real force time is part of the wall-clock delay `T` bounds.
     pub fn storage_slack(&self) -> Duration {
+        if self.event_loop {
+            return Duration::ZERO;
+        }
         let window = if self.group_commit {
             self.group_commit_window
         } else {
@@ -405,6 +434,13 @@ mod tests {
         assert_eq!(cfg.storage_slack(), Duration(9));
         assert_eq!(cfg.window_2t(), Duration(20 + 18));
         assert_eq!(cfg.watchdog_3t(), Duration(30 + 27));
+        // An event-loop site models no device: the settings are unread.
+        let hosted = NodeConfig {
+            event_loop: true,
+            ..cfg
+        };
+        assert_eq!(hosted.storage_slack(), Duration::ZERO);
+        assert_eq!(hosted.window_2t(), Duration(20));
     }
 
     #[test]

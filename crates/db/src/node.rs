@@ -170,7 +170,7 @@ impl XRetired {
 
 /// One local decision transition, recorded for
 /// [`SiteNode::drain_decision_events`] when
-/// [`NodeConfig::decision_events`] is on.
+/// [`NodeConfig::event_loop`] is on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DecisionEvent {
     /// Transaction that decided.
@@ -193,8 +193,9 @@ pub struct Violation {
 
 /// An effect withheld until the WAL records it depends on are forced:
 /// the "logged before told" half of the durability contract. Protocol
-/// messages and decision applications queue here while their log
-/// records sit in the group-commit buffer or an in-flight force.
+/// messages, decision applications and decision events queue here
+/// while their log records sit in the group-commit buffer or an
+/// in-flight force.
 #[derive(Clone, Debug)]
 enum DeferredOp {
     Send {
@@ -212,6 +213,9 @@ enum DeferredOp {
     Truncate {
         cutoff: Lsn,
     },
+    /// Publish a decision event to the host: a client must not hear an
+    /// outcome its deciding record could still lose to a crash.
+    Notify(DecisionEvent),
 }
 
 /// One full database site.
@@ -278,7 +282,7 @@ pub struct SiteNode {
     /// no `Vec<Action>` per event.
     spare_actions: Vec<Vec<Action>>,
     /// Host-drainable record of local decision transitions (only with
-    /// [`NodeConfig::decision_events`]); push-style front-ends drain it
+    /// [`NodeConfig::event_loop`]); push-style front-ends drain it
     /// after every delivery to answer waiting client sessions.
     decision_events: Vec<DecisionEvent>,
     /// First log record of every *live* transaction — the LSNs a
@@ -472,10 +476,10 @@ impl SiteNode {
     }
 
     /// Drains the decision transitions recorded since the last drain
-    /// into `out` (only populated with
-    /// [`NodeConfig::decision_events`]). Front-ends call this after
-    /// every delivery: each event is the moment this site first learned
-    /// a transaction's outcome.
+    /// into `out` (only populated with [`NodeConfig::event_loop`]).
+    /// Front-ends call this after every delivery and quiescence: each
+    /// event is the moment this site first learned a transaction's
+    /// outcome *and* the records behind it were forced.
     pub fn drain_decision_events(&mut self, out: &mut Vec<DecisionEvent>) {
         out.append(&mut self.decision_events);
     }
@@ -483,14 +487,20 @@ impl SiteNode {
     /// Records a local decision transition for
     /// [`SiteNode::drain_decision_events`]. Call sites are exactly the
     /// `st.decided` `None -> Some` assignments, so one event fires per
-    /// transaction per site lifetime.
+    /// transaction per site lifetime. The event waits behind any staged
+    /// record, like a message would.
     fn note_decision(&mut self, txn: TxnId, decision: Decision, commit_version: Option<Version>) {
-        if self.cfg.decision_events {
-            self.decision_events.push(DecisionEvent {
+        if self.cfg.event_loop {
+            let ev = DecisionEvent {
                 txn,
                 decision,
                 commit_version,
-            });
+            };
+            if self.durability_barrier() {
+                self.defer(DeferredOp::Notify(ev));
+            } else {
+                self.decision_events.push(ev);
+            }
         }
     }
 
@@ -648,6 +658,12 @@ impl SiteNode {
     /// group commit many records share one force).
     pub fn wal_forces(&self) -> u64 {
         self.storage.wal_forces()
+    }
+
+    /// Log records staged but not yet forced (volatile: a crash loses
+    /// them, and every effect that depends on them is still withheld).
+    pub fn staged_records(&self) -> usize {
+        self.storage.wal().pending_len()
     }
 
     /// Number of *retained* durable WAL records at this site
@@ -1161,7 +1177,8 @@ impl SiteNode {
 
     /// Forces the staged batch (if any) and models the device time it
     /// costs. Ops gated on the buffer move behind the new force; with an
-    /// instant device they run immediately (the force is still one
+    /// instant device — or on an event-loop site, whose force is real
+    /// and already done — they run immediately (the force is still one
     /// flush, so batching still saves forces).
     fn flush_wal(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>) {
         if let Some(id) = self.flush_timer.take() {
@@ -1179,7 +1196,7 @@ impl SiteNode {
             },
         );
         let ops = std::mem::take(&mut self.gated_on_buffer);
-        if self.cfg.force_latency == qbc_simnet::Duration::ZERO {
+        if self.cfg.event_loop || self.cfg.force_latency == qbc_simnet::Duration::ZERO {
             self.run_deferred(ctx, ops);
             return;
         }
@@ -1206,6 +1223,7 @@ impl SiteNode {
                 DeferredOp::Truncate { cutoff } => {
                     self.storage.truncate_log_before(cutoff);
                 }
+                DeferredOp::Notify(ev) => self.decision_events.push(ev),
             }
         }
         if ops.capacity() > 0 && self.spare_deferred.len() < 4 {
@@ -1214,6 +1232,8 @@ impl SiteNode {
     }
 
     /// Records one engine log action under the configured force policy.
+    /// An event-loop site only stages: its host forces the turn's batch
+    /// through [`Process::on_quiesce`].
     fn log_record(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, rec: LogRecord) {
         let txn = rec.txn();
         // Sized before the record moves into the WAL; skipped entirely
@@ -1223,7 +1243,9 @@ impl SiteNode {
         } else {
             0
         };
-        let lsn = if self.cfg.group_commit {
+        let lsn = if self.cfg.event_loop {
+            self.storage.log_buffered(rec)
+        } else if self.cfg.group_commit {
             let lsn = self.storage.log_buffered(rec);
             if self.storage.wal().pending_len() >= self.cfg.group_commit_max_batch {
                 self.flush_wal(ctx);
@@ -2614,6 +2636,17 @@ impl Process for SiteNode {
             }
             NodeTimer::Checkpoint => self.on_checkpoint_tick(ctx),
         }
+        self.pump(ctx);
+    }
+
+    /// One event-loop round is over: force everything staged in it
+    /// with one write and one force, then release the effects the force
+    /// made durable. Self-addressed messages among them are handled
+    /// here and may stage new records; the host quiesces again until
+    /// [`SiteNode::staged_records`] is zero, so those records share the
+    /// next force with whatever its other sites stage meanwhile.
+    fn on_quiesce(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>) {
+        self.flush_wal(ctx);
         self.pump(ctx);
     }
 

@@ -59,7 +59,8 @@ impl LatencyHistogram {
     }
 
     /// Upper bound of the bucket containing the `q`-quantile
-    /// (`0.0 < q <= 1.0`); zero when empty.
+    /// (`0.0 < q <= 1.0`), capped at the largest recorded duration (no
+    /// sample exceeds it); zero when empty.
     pub fn quantile(&self, q: f64) -> Duration {
         if self.count == 0 {
             return Duration::ZERO;
@@ -69,7 +70,7 @@ impl LatencyHistogram {
         for (i, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                return Duration(1u64 << (i + 1));
+                return Duration((1u64 << (i + 1)).min(self.max));
             }
         }
         Duration(self.max)
@@ -116,7 +117,8 @@ mod tests {
     fn quantile_pins_bucket_boundaries() {
         // Samples 1..=4 land in buckets [1,2), [2,4), [4,8): the
         // quantile accessor reports the *upper bound* of the bucket
-        // holding the rank, so boundary samples resolve predictably.
+        // holding the rank, capped at the recorded max, so boundary
+        // samples resolve predictably.
         let mut h = LatencyHistogram::new();
         for d in [1, 2, 3, 4] {
             h.record(Duration(d));
@@ -125,20 +127,23 @@ mod tests {
         assert_eq!(h.quantile(0.25), Duration(2));
         // rank(0.5) = 2 → sample `2` in bucket [2,4) → upper bound 4.
         assert_eq!(h.p50(), Duration(4));
-        // rank(0.99·4 → ceil) = 4 → sample `4` in bucket [4,8) → 8.
-        assert_eq!(h.p99(), Duration(8));
-        assert_eq!(h.quantile(1.0), Duration(8));
+        // rank(0.99·4 → ceil) = 4 → sample `4` in bucket [4,8) → 8,
+        // capped at the max, 4.
+        assert_eq!(h.p99(), Duration(4));
+        assert_eq!(h.quantile(1.0), Duration(4));
     }
 
     #[test]
     fn exact_power_of_two_opens_a_new_bucket() {
-        // 2^k is the *inclusive lower* bound of bucket k, so a single
-        // sample at 2^k reports an upper bound of 2^(k+1).
+        // 2^k is the *inclusive lower* bound of bucket k, so a median
+        // sample at 2^k reports an upper bound of 2^(k+1) (a larger
+        // sample lifts the max cap out of the way).
         for k in [1u64, 5, 10, 20] {
             let mut h = LatencyHistogram::new();
             h.record(Duration(1 << k));
+            h.record(Duration(1 << (k + 3)));
             assert_eq!(h.p50(), Duration(1 << (k + 1)), "k={k}");
-            assert_eq!(h.p99(), Duration(1 << (k + 1)), "k={k}");
+            assert_eq!(h.p99(), Duration(1 << (k + 3)), "k={k}: capped at max");
         }
     }
 
@@ -148,8 +153,21 @@ mod tests {
         h.record(Duration::ZERO);
         h.record(Duration(1));
         assert_eq!(h.count(), 2);
-        assert_eq!(h.p50(), Duration(2));
-        assert_eq!(h.p99(), Duration(2));
+        assert_eq!(h.buckets().collect::<Vec<_>>(), vec![(2, 2)]);
+        // Bucket [0,2)'s bound, capped at the max.
+        assert_eq!(h.p50(), Duration(1));
+        assert_eq!(h.p99(), Duration(1));
+    }
+
+    #[test]
+    fn quantiles_never_exceed_the_recorded_max() {
+        // The tail sample sits in bucket [2^19, 2^20), whose bound is
+        // far above anything recorded.
+        let mut h = LatencyHistogram::new();
+        h.record(Duration(10));
+        h.record(Duration(713_391));
+        assert_eq!(h.p99(), Duration(713_391));
+        assert_eq!(h.p50(), Duration(16), "bucket [8,16) is below the cap");
     }
 
     #[test]
@@ -168,7 +186,7 @@ mod tests {
         h.record(Duration(1000));
         assert_eq!(h.p50(), Duration(4));
         assert_eq!(h.quantile(0.99), Duration(4)); // rank 99 still in [2,4)
-        assert_eq!(h.quantile(1.0), Duration(1024)); // tail bucket [512,1024)
+        assert_eq!(h.quantile(1.0), Duration(1000)); // [512,1024), capped at max
     }
 
     #[test]
@@ -182,7 +200,7 @@ mod tests {
         assert_eq!(a.count(), 3);
         assert_eq!(a.sum(), 106);
         assert_eq!(a.max(), Duration(100));
-        assert_eq!(a.quantile(1.0), Duration(128));
+        assert_eq!(a.quantile(1.0), Duration(100));
     }
 
     #[test]

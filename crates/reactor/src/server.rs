@@ -14,9 +14,15 @@
 //!   sessions are logical: one framed connection carries any number,
 //!   so 30k concurrent sessions need a handful of descriptors.
 //! * **Decisions are push, not poll.** Sites run with
-//!   [`qbc_db::NodeConfig::decision_events`] on; after every delivery
+//!   [`qbc_db::NodeConfig::event_loop`] on; after every delivery
 //!   the hosting worker drains the events and forwards them to the
 //!   front door, which answers the waiting session immediately.
+//! * **Group commit per loop turn.** An event-loop site only stages
+//!   its log records. Once a pump round makes no progress the worker
+//!   [quiesces](NodeDriver::quiesce) every hosted site: one write and
+//!   one force per site covers everything the turn staged, and the
+//!   sends and decisions held behind it are released. A worker never
+//!   blocks in the poller with a record staged.
 //! * **Backpressure per connection.** Replies queue in a
 //!   [`FrameWriter`]; once its backlog crosses the high-water mark the
 //!   front door stops *reading* that connection (new requests wait in
@@ -341,12 +347,13 @@ impl Worker {
         loop {
             let now = self.now();
             self.retire_down_sites();
-            self.pump(now);
+            self.pump();
             self.poll_watched_reads();
             self.serve_front(now);
             if self.shared.shutdown.load(Ordering::Acquire) {
                 break;
             }
+            debug_assert!(!self.any_staged(), "polling with records staged");
             let timeout = self.poll_timeout(now);
             let n = match self.poller.wait(&mut self.events, Some(timeout)) {
                 Ok(n) => n,
@@ -430,10 +437,16 @@ impl Worker {
 
     /// Drives hosted sites to local quiescence: due timers fire,
     /// queued messages deliver, decision events flow to the front door.
-    fn pump(&mut self, now: Time) {
+    /// A round with nothing left to deliver forces every site's staged
+    /// log records; the sends that force releases keep the loop going.
+    /// Every handler runs at a fresh clock reading, so a timer armed
+    /// late in a long pump runs its full span, not what is left of the
+    /// turn.
+    fn pump(&mut self) {
         let mut rounds = 0;
         loop {
             let mut progress = false;
+            let now = self.now();
             let sites: Vec<SiteId> = self.drivers.keys().copied().collect();
             for site in sites {
                 let d = self.drivers.get_mut(&site).expect("listed");
@@ -446,6 +459,7 @@ impl Worker {
             }
             while let Some((from, to, msg)) = self.inbox.pop_front() {
                 progress = true;
+                let now = self.now();
                 match self.drivers.get_mut(&to) {
                     Some(d) => {
                         d.deliver(now, from, msg, &mut self.out);
@@ -456,10 +470,43 @@ impl Worker {
                 }
             }
             rounds += 1;
-            if !progress || rounds > 10_000 {
+            if rounds > 10_000 {
+                // Bounded work per turn, but never block with a record
+                // staged: its withheld sends would wait out the poll.
+                while self.any_staged() {
+                    self.quiesce_sites();
+                }
+                break;
+            }
+            if !progress && !self.quiesce_sites() {
                 break;
             }
         }
+    }
+
+    fn any_staged(&self) -> bool {
+        self.drivers.values().any(|d| d.node().staged_records() > 0)
+    }
+
+    /// Forces every hosted site's staged batch and routes what the
+    /// forces released. Returns whether there is more to do: something
+    /// was sent, or a site staged new records while handling its own
+    /// released messages.
+    fn quiesce_sites(&mut self) -> bool {
+        let now = self.now();
+        let mut more = false;
+        let sites: Vec<SiteId> = self.drivers.keys().copied().collect();
+        for site in sites {
+            let d = self.drivers.get_mut(&site).expect("listed");
+            d.quiesce(now, &mut self.out);
+            more |= d.node().staged_records() > 0;
+            if !self.out.is_empty() {
+                more = true;
+                self.route(site);
+            }
+            self.forward_decisions(site);
+        }
+        more
     }
 
     /// Routes everything a driver emitted: local sites by queue push,

@@ -52,8 +52,8 @@ impl<T> Ord for Pending<T> {
     }
 }
 
-/// Hosts one [`Process`] outside the simulator: delivers messages and
-/// due timers, collects outbound sends.
+/// Hosts one [`Process`] outside the simulator: delivers messages, due
+/// timers and quiescence notices, collects outbound sends.
 pub struct NodeDriver<P: Process> {
     node: P,
     site: SiteId,
@@ -87,17 +87,7 @@ impl<P: Process> NodeDriver<P> {
             cancelled: HashSet::new(),
             effects: Vec::new(),
         };
-        let mut effects = std::mem::take(&mut d.effects);
-        let mut ctx = Ctx {
-            self_id: d.site,
-            now,
-            rng: &mut d.rng,
-            effects: &mut effects,
-            next_timer_id: &mut d.next_timer_id,
-        };
-        d.node.on_start(&mut ctx);
-        d.apply(now, &mut effects, out);
-        d.effects = effects;
+        d.invoke(now, out, |node, ctx| node.on_start(ctx));
         d
     }
 
@@ -131,17 +121,15 @@ impl<P: Process> NodeDriver<P> {
         msg: P::Msg,
         out: &mut Vec<(SiteId, P::Msg)>,
     ) {
-        let mut effects = std::mem::take(&mut self.effects);
-        let mut ctx = Ctx {
-            self_id: self.site,
-            now,
-            rng: &mut self.rng,
-            effects: &mut effects,
-            next_timer_id: &mut self.next_timer_id,
-        };
-        self.node.on_message(&mut ctx, from, msg);
-        self.apply(now, &mut effects, out);
-        self.effects = effects;
+        self.invoke(now, out, |node, ctx| node.on_message(ctx, from, msg));
+    }
+
+    /// Tells the hosted process that the host's current round of
+    /// deliveries and timers has reached local quiescence
+    /// ([`Process::on_quiesce`]); its sends, timers and cancels are
+    /// applied exactly as [`NodeDriver::deliver`] applies a handler's.
+    pub fn quiesce(&mut self, now: Time, out: &mut Vec<(SiteId, P::Msg)>) {
+        self.invoke(now, out, |node, ctx| node.on_quiesce(ctx));
     }
 
     /// Fires every timer due at or before `now`, including timers armed
@@ -157,17 +145,7 @@ impl<P: Process> NodeDriver<P> {
             if self.cancelled.remove(&p.id) {
                 continue;
             }
-            let mut effects = std::mem::take(&mut self.effects);
-            let mut ctx = Ctx {
-                self_id: self.site,
-                now,
-                rng: &mut self.rng,
-                effects: &mut effects,
-                next_timer_id: &mut self.next_timer_id,
-            };
-            self.node.on_timer(&mut ctx, p.id, p.timer);
-            self.apply(now, &mut effects, out);
-            self.effects = effects;
+            self.invoke(now, out, |node, ctx| node.on_timer(ctx, p.id, p.timer));
         }
     }
 
@@ -185,6 +163,27 @@ impl<P: Process> NodeDriver<P> {
             }
         }
         None
+    }
+
+    /// Runs one handler against a fresh [`Ctx`] at `now`, then applies
+    /// the effects it buffered.
+    fn invoke(
+        &mut self,
+        now: Time,
+        out: &mut Vec<(SiteId, P::Msg)>,
+        handler: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg, P::Timer>),
+    ) {
+        let mut effects = std::mem::take(&mut self.effects);
+        let mut ctx = Ctx {
+            self_id: self.site,
+            now,
+            rng: &mut self.rng,
+            effects: &mut effects,
+            next_timer_id: &mut self.next_timer_id,
+        };
+        handler(&mut self.node, &mut ctx);
+        self.apply(now, &mut effects, out);
+        self.effects = effects;
     }
 
     fn apply(
@@ -277,5 +276,89 @@ mod tests {
         assert!(out.is_empty(), "timer fired once");
         assert_eq!(d.next_deadline(), None);
         assert_eq!(d.site(), SiteId(3));
+    }
+
+    /// Stages the sender of every Ping and answers them all at
+    /// quiescence, where it also arms a timer and cancels the one armed
+    /// at start.
+    struct Batcher {
+        staged: Vec<SiteId>,
+        victim: Option<TimerId>,
+    }
+    impl Process for Batcher {
+        type Msg = M;
+        type Timer = u8;
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, M, u8>) {
+            self.victim = Some(ctx.set_timer(Duration(5), 2));
+        }
+
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, M, u8>, from: SiteId, _msg: M) {
+            self.staged.push(from);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, M, u8>, _id: TimerId, timer: u8) {
+            ctx.send(SiteId(9), if timer == 1 { M::Ping } else { M::Pong });
+        }
+
+        fn on_quiesce(&mut self, ctx: &mut Ctx<'_, M, u8>) {
+            if self.staged.is_empty() {
+                return;
+            }
+            for to in self.staged.drain(..) {
+                ctx.send(to, M::Pong);
+            }
+            ctx.set_timer(Duration(4), 1);
+            if let Some(v) = self.victim.take() {
+                ctx.cancel_timer(v);
+            }
+        }
+    }
+
+    #[test]
+    fn quiesce_applies_the_hooks_effects_like_deliver() {
+        let mut out = Vec::new();
+        let batcher = Batcher {
+            staged: Vec::new(),
+            victim: None,
+        };
+        let mut d = NodeDriver::new(SiteId(3), batcher, 7, Time(0), &mut out);
+        d.deliver(Time(1), SiteId(1), M::Ping, &mut out);
+        d.deliver(Time(1), SiteId(2), M::Ping, &mut out);
+        assert!(out.is_empty(), "deliveries only stage");
+        assert_eq!(d.next_deadline(), Some(Time(5)));
+
+        // Sends leave in staging order, the new timer is due at
+        // now + 4, and the start timer is cancelled.
+        d.quiesce(Time(2), &mut out);
+        assert_eq!(out, vec![(SiteId(1), M::Pong), (SiteId(2), M::Pong)]);
+        out.clear();
+        assert_eq!(d.next_deadline(), Some(Time(6)), "cancelled head purged");
+        d.tick(Time(5), &mut out);
+        assert!(out.is_empty(), "the cancelled timer never fires");
+        d.tick(Time(6), &mut out);
+        assert_eq!(
+            out,
+            vec![(SiteId(9), M::Ping)],
+            "only the quiesce timer fires"
+        );
+        out.clear();
+        assert_eq!(d.next_deadline(), None);
+
+        // Nothing staged: the hook does nothing.
+        d.quiesce(Time(6), &mut out);
+        assert!(out.is_empty());
+        assert_eq!(d.next_deadline(), None);
+    }
+
+    #[test]
+    fn quiesce_is_a_no_op_without_the_hook() {
+        let mut out = Vec::new();
+        let mut d = NodeDriver::new(SiteId(3), Echo { victim: None }, 7, Time(0), &mut out);
+        d.quiesce(Time(1), &mut out);
+        assert!(out.is_empty());
+        assert_eq!(d.next_deadline(), Some(Time(5)));
+        d.tick(Time(10), &mut out);
+        assert_eq!(out, vec![(SiteId(9), M::Pong), (SiteId(9), M::Ping)]);
     }
 }

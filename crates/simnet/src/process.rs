@@ -58,6 +58,15 @@ pub trait Process {
     fn on_recover(&mut self, ctx: &mut Ctx<'_, Self::Msg, Self::Timer>) {
         let _ = ctx;
     }
+
+    /// Invoked by an event-loop host once a round of deliveries and
+    /// timers reaches local quiescence (see [`crate::NodeDriver::quiesce`]).
+    /// A process batches work here that the host wants done once per
+    /// loop turn rather than once per event. The simulator, the
+    /// threaded transport and the model checker never call it.
+    fn on_quiesce(&mut self, ctx: &mut Ctx<'_, Self::Msg, Self::Timer>) {
+        let _ = ctx;
+    }
 }
 
 /// Buffered effect emitted by a handler, applied by the driver afterwards.

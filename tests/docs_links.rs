@@ -126,6 +126,7 @@ fn docs_references_to_code_paths_exist() {
         "crates/bench/src/bin/e18_open_loop.rs",
         "crates/cluster/tests/snapshot_reads.rs",
         "crates/db/tests/read_tables.rs",
+        "crates/db/tests/event_loop.rs",
         "crates/reactor/src/poller.rs",
         "crates/reactor/src/frame.rs",
         "crates/reactor/src/wire.rs",
