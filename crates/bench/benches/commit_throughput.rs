@@ -11,7 +11,7 @@ use qbc_votes::{Catalog, CatalogBuilder, ItemId};
 
 fn catalog(n: u32) -> Catalog {
     CatalogBuilder::new()
-        .item(ItemId(0), "x")
+        .item(ItemId(0))
         .copies_at(sites(n))
         .majority()
         .build()

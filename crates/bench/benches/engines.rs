@@ -14,7 +14,7 @@ use qbc_votes::{Catalog, CatalogBuilder, ItemId, Version};
 fn catalog(n_items: u32, copies: u32) -> Catalog {
     let mut b = CatalogBuilder::new();
     for i in 0..n_items {
-        b = b.item(ItemId(i), format!("x{i}"));
+        b = b.item(ItemId(i));
         for k in 0..copies {
             b = b.copy(SiteId((i * copies + k) % 16), 1);
         }

@@ -13,8 +13,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Builds the cluster's shared observer when the configuration enables
-/// it, with every catalog item pre-registered so the blocking tracker
-/// knows each item's replication shape and read quorum.
+/// it, with every shard catalog registered (shared, not copied) so the
+/// blocking tracker knows each item's placement and read quorum.
 pub(crate) fn make_obs(cfg: &ClusterConfig, map: &ShardMap) -> Option<Arc<Obs>> {
     if !cfg.obs.enabled {
         return None;
@@ -24,10 +24,7 @@ pub(crate) fn make_obs(cfg: &ClusterConfig, map: &ShardMap) -> Option<Arc<Obs>> 
         obs.install_panic_hook();
     }
     for shard in 0..cfg.shards {
-        for spec in map.catalog(ShardId(shard)).items() {
-            let copies: Vec<(SiteId, u32)> = spec.copies.iter().map(|(&s, &w)| (s, w)).collect();
-            obs.register_item(spec.id, copies, spec.read_quorum);
-        }
+        obs.register_catalog(Arc::clone(map.catalog(ShardId(shard))));
     }
     Some(obs)
 }

@@ -42,7 +42,7 @@ pub const T_BOUND: Duration = Duration(10);
 /// fail and both quorums survive.
 pub fn three_site_catalog() -> Catalog {
     CatalogBuilder::new()
-        .item(ItemId(0), "x")
+        .item(ItemId(0))
         .copies_at([SiteId(0), SiteId(1), SiteId(2)])
         .quorums(2, 2)
         .build()
@@ -102,14 +102,14 @@ pub fn two_shard_host(
     mut customize: impl FnMut(NodeConfig) -> NodeConfig,
 ) -> ControlledHost<SiteNode> {
     let shard_a = CatalogBuilder::new()
-        .item(ItemId(0), "a")
+        .item(ItemId(0))
         .copies_at([SiteId(0), SiteId(1)])
         .quorums(1, 2)
         .build()
         .map(Arc::new)
         .expect("static catalog");
     let shard_b = CatalogBuilder::new()
-        .item(ItemId(1), "b")
+        .item(ItemId(1))
         .copies_at([SiteId(2)])
         .quorums(1, 1)
         .build()
@@ -173,14 +173,14 @@ pub fn client_parent_host(
     mut customize: impl FnMut(NodeConfig) -> NodeConfig,
 ) -> ControlledHost<SiteNode> {
     let shard_a = CatalogBuilder::new()
-        .item(ItemId(0), "a")
+        .item(ItemId(0))
         .copies_at([SiteId(1)])
         .quorums(1, 1)
         .build()
         .map(Arc::new)
         .expect("static catalog");
     let shard_b = CatalogBuilder::new()
-        .item(ItemId(1), "b")
+        .item(ItemId(1))
         .copies_at([SiteId(2)])
         .quorums(1, 1)
         .build()

@@ -3,7 +3,7 @@
 use crate::config::ClusterConfig;
 use qbc_core::{ProtocolKind, TxnId, TxnSpec, WriteSet};
 use qbc_simnet::SiteId;
-use qbc_votes::{Catalog, CatalogBuilder, ItemId};
+use qbc_votes::{Catalog, ItemId, Placement};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -31,6 +31,8 @@ impl fmt::Display for ShardId {
 /// no lookup table sits on the submit path. Each shard's catalog is
 /// built once and immutable: cloning the map, and every site built from
 /// it, shares the same `Arc` rather than copying one entry per item.
+/// A catalog holds at most `sites_per_shard` placements (one per
+/// rotation class) plus a flat item → placement index.
 #[derive(Clone, Debug)]
 pub struct ShardMap {
     shards: u32,
@@ -46,17 +48,29 @@ impl ShardMap {
         cfg.validate();
         let mut catalogs = Vec::with_capacity(cfg.shards as usize);
         for shard in 0..cfg.shards {
-            let mut b = CatalogBuilder::new();
-            for k in 0..cfg.items_per_shard {
-                let item = ItemId(shard * cfg.items_per_shard + k);
-                b = b.item(item, format!("x{}", item.0));
-                for j in 0..cfg.replication {
-                    let site = SiteId(shard * cfg.sites_per_shard + (k + j) % cfg.sites_per_shard);
-                    b = b.copy(site, 1);
-                }
-                b = b.quorums(cfg.read_quorum, cfg.write_quorum);
-            }
-            catalogs.push(Arc::new(b.build().expect("validated cluster config")));
+            // Item k of a shard keeps its copies at the `replication`
+            // shard sites starting from k mod sites_per_shard: one
+            // placement per rotation class, however many items.
+            let base = shard * cfg.sites_per_shard;
+            let classes: Vec<Placement> = (0..cfg.sites_per_shard)
+                .map(|c| {
+                    Placement::new(
+                        (0..cfg.replication)
+                            .map(|j| (SiteId(base + (c + j) % cfg.sites_per_shard), 1)),
+                        cfg.read_quorum,
+                        cfg.write_quorum,
+                    )
+                })
+                .collect();
+            let items = (0..cfg.items_per_shard).map(|k| {
+                (
+                    ItemId(shard * cfg.items_per_shard + k),
+                    (k % cfg.sites_per_shard) as usize,
+                )
+            });
+            let catalog =
+                Catalog::with_placements(&classes, items).expect("validated cluster config");
+            catalogs.push(Arc::new(catalog));
         }
         ShardMap {
             shards: cfg.shards,
@@ -232,8 +246,8 @@ mod tests {
             let sites = m.sites_of(shard);
             let cat = m.catalog(shard);
             for item in m.items_of(shard) {
-                let spec = cat.item(item).expect("item in shard catalog");
-                for s in spec.sites() {
+                let placement = cat.item(item).expect("item in shard catalog");
+                for s in placement.sites() {
                     assert!(sites.contains(&s), "{item:?} copy at foreign {s}");
                 }
             }

@@ -169,8 +169,8 @@ fn killing_the_coordinator_resubmits_to_a_survivor() {
         .map()
         .catalog(shard)
         .items()
-        .filter(|spec| !spec.copies.contains_key(&victim))
-        .map(|spec| spec.id)
+        .filter(|(_, placement)| !placement.holds(victim))
+        .map(|(item, _)| item)
         .collect();
     assert!(spared.len() >= 2, "placement: {spared:?}");
 

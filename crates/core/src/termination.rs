@@ -367,10 +367,10 @@ mod tests {
 
     fn catalog() -> Catalog {
         CatalogBuilder::new()
-            .item(ItemId(0), "x")
+            .item(ItemId(0))
             .copies_at([SiteId(1), SiteId(2), SiteId(3), SiteId(4)])
             .quorums(2, 3)
-            .item(ItemId(1), "y")
+            .item(ItemId(1))
             .copies_at([SiteId(5), SiteId(6), SiteId(7), SiteId(8)])
             .quorums(2, 3)
             .build()

@@ -299,10 +299,10 @@ mod tests {
     #[test]
     fn spec_from_catalog_derives_participants() {
         let catalog = CatalogBuilder::new()
-            .item(ItemId(0), "x")
+            .item(ItemId(0))
             .copies_at([SiteId(1), SiteId(2), SiteId(3)])
             .quorums(2, 2)
-            .item(ItemId(1), "y")
+            .item(ItemId(1))
             .copies_at([SiteId(3), SiteId(4), SiteId(5)])
             .quorums(2, 2)
             .build()

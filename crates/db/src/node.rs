@@ -364,20 +364,23 @@ impl SiteNode {
         };
         let mut storage = SiteStorage::with_wal(wal);
         storage.set_version_retention(cfg.version_retention.max(1));
-        // One walk over the shared catalog loads every local copy and
-        // collects the shard-watermark peers: every other site holding
-        // a copy of anything this site hosts — exactly the sites whose
-        // in-flight transactions can pin a local copy.
+        // The shard-watermark peers come from the placements: every
+        // other site sharing a placement with this one — exactly the
+        // sites whose in-flight transactions can pin a local copy.
+        let site = cfg.site;
         let mut peers: BTreeSet<SiteId> = BTreeSet::new();
-        for spec in cfg.catalog.items() {
-            if spec.copies.contains_key(&cfg.site) {
-                storage.initialize_item(spec.id, initial_values(spec.id));
-                if cfg.snapshot_reads {
-                    peers.extend(spec.sites());
-                }
+        if cfg.snapshot_reads {
+            for p in cfg.catalog.placements().iter().filter(|p| p.holds(site)) {
+                peers.extend(p.sites());
             }
         }
-        peers.remove(&cfg.site);
+        peers.remove(&site);
+        // Local copies load in id order straight from the catalog's
+        // item → placement index, into one reserved allocation.
+        storage.reserve_items(cfg.catalog.copies_at(site));
+        for item in cfg.catalog.items_at(site) {
+            storage.initialize_item(item, initial_values(item));
+        }
         let wm_peers: Vec<SiteId> = peers.into_iter().collect();
         SiteNode {
             cfg,
@@ -1373,10 +1376,10 @@ impl SiteNode {
         // snapshot reads below its watermark: committed values whose
         // records are truncated survive only here (the durable page
         // store of a real site, folded into the log).
-        let item_ids: Vec<ItemId> = self.storage.items().collect();
-        let items: Vec<(ItemId, qbc_core::ItemChain)> = item_ids
-            .into_iter()
-            .filter_map(|i| self.storage.item_versions(i).map(|c| (i, c.to_vec())))
+        let items: Vec<(ItemId, qbc_core::ItemChain)> = self
+            .storage
+            .item_chains()
+            .map(|(i, c)| (i, c.to_vec()))
             .collect();
         // Everything below the oldest live transaction's first record
         // AND below this checkpoint is dead: retired outcomes live in
@@ -2066,25 +2069,17 @@ impl SiteNode {
     fn try_lock_writeset(&mut self, now: Time, txn: TxnId, spec: &TxnSpec) -> bool {
         // No-wait 2PL: X-lock every local copy of the writeset; any
         // conflict means vote no (prevents distributed deadlock).
-        let local_items: Vec<ItemId> = spec
-            .writeset
-            .items()
-            .filter(|&i| {
-                self.cfg
-                    .catalog
-                    .item(i)
-                    .map(|s| s.copies.contains_key(&self.cfg.site))
-                    .unwrap_or(false)
-            })
-            .collect();
-        for (k, item) in local_items.iter().enumerate() {
-            match self.locks.acquire(txn, *item, LockMode::Exclusive) {
+        let site = self.cfg.site;
+        let catalog: &Catalog = &self.cfg.catalog;
+        let local = || spec.writeset.items().filter(|&i| catalog.holds(i, site));
+        for (k, item) in local().enumerate() {
+            match self.locks.acquire(txn, item, LockMode::Exclusive) {
                 LockOutcome::Granted => {}
                 LockOutcome::Waiting => {
                     // Roll back the partial acquisition (and the queued
                     // request).
-                    for it in &local_items[..=k] {
-                        self.locks.release(&txn, it);
+                    for it in local().take(k + 1) {
+                        self.locks.release(&txn, &it);
                     }
                     return false;
                 }
@@ -2092,8 +2087,10 @@ impl SiteNode {
         }
         // The yes vote pins every local copy until the decision: the
         // pin-time clock starts here.
-        for &item in &local_items {
-            self.emit(now, Some(txn), EventKind::PinStart { item });
+        for item in spec.writeset.items() {
+            if self.cfg.catalog.holds(item, site) {
+                self.emit(now, Some(txn), EventKind::PinStart { item });
+            }
         }
         true
     }
@@ -2962,13 +2959,9 @@ impl Process for SiteNode {
             // Rebuild vmax from the durable store (every installed
             // version survived in the chains) and recompute the local
             // watermark over the floors the in-doubt pass re-imposed.
-            let items: Vec<ItemId> = self.storage.items().collect();
-            for i in items {
-                if let Some(v) = self.storage.item_version(i) {
-                    if v > self.vmax {
-                        self.vmax = v;
-                    }
-                }
+            let newest = self.storage.item_chains().filter_map(|(_, c)| c.last());
+            if let Some(v) = newest.map(|&(v, _)| v).max() {
+                self.vmax = self.vmax.max(v);
             }
             self.refresh_watermark();
         }
@@ -3074,11 +3067,10 @@ impl qbc_simnet::Fingerprint for SiteNode {
         // Log content is state (recovery replays it), and per-site
         // record order is fixed by the site's own event order, so
         // hashing it does not break cross-site delivery commutation.
-        for item in self.storage.items() {
+        for (item, chain) in self.storage.item_chains() {
             // The whole retained chain: with version retention > 1 the
             // older versions are observable (snapshot reads), so states
             // differing only there must not merge.
-            let chain = self.storage.item_versions(item);
             let _ = write!(s, "i{item:?}={chain:?};");
         }
         let wal = self.storage.wal();

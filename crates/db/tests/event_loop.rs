@@ -15,7 +15,7 @@ const TXN: TxnId = TxnId(1);
 /// `n` event-loop sites; item `x` has a copy at each of `copies`.
 fn drivers(n: u32, copies: impl IntoIterator<Item = SiteId>) -> Vec<NodeDriver<SiteNode>> {
     let catalog = CatalogBuilder::new()
-        .item(ItemId(0), "x")
+        .item(ItemId(0))
         .copies_at(copies)
         .majority()
         .build()

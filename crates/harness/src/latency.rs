@@ -32,7 +32,7 @@ pub struct LatencyPoint {
 /// A single-item catalog over `n` sites with the given quorums.
 pub fn replicated_catalog(n: u32, read_q: u32, write_q: u32) -> Catalog {
     CatalogBuilder::new()
-        .item(ItemId(0), "x")
+        .item(ItemId(0))
         .copies_at(sites(n))
         .quorums(read_q, write_q)
         .build()

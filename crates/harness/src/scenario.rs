@@ -355,7 +355,7 @@ mod tests {
 
     fn catalog() -> Catalog {
         CatalogBuilder::new()
-            .item(ItemId(0), "x")
+            .item(ItemId(0))
             .copies_at(sites(4))
             .quorums(2, 3)
             .build()

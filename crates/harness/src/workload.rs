@@ -60,7 +60,7 @@ impl WorkloadConfig {
     pub fn catalog(&self) -> Catalog {
         let mut b = CatalogBuilder::new();
         for i in 0..self.n_items {
-            b = b.item(ItemId(i), format!("x{i}"));
+            b = b.item(ItemId(i));
             for k in 0..self.copies_per_item {
                 b = b.copy(SiteId((i + k) % self.n_sites), 1);
             }

@@ -14,8 +14,10 @@
 use crate::hist::LatencyHistogram;
 use qbc_core::TxnId;
 use qbc_simnet::{SiteId, Time};
-use qbc_votes::ItemId;
+use qbc_votes::{Catalog, ItemId, Placement};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// One closed (or still-open) span of read unavailability.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,28 +51,16 @@ impl ItemAvailability {
     }
 }
 
-#[derive(Clone, Debug)]
-struct ItemState {
-    copies: Vec<(SiteId, u32)>,
-    read_quorum: u32,
-    /// Live pins: which transaction holds the copy at each site, and
-    /// since when.
-    pinned: BTreeMap<SiteId, (TxnId, Time)>,
+/// Read availability of an item: the open window, if any, and the
+/// closed ones.
+#[derive(Clone, Debug, Default)]
+struct Avail {
     open: Option<Time>,
     windows: Vec<Window>,
 }
 
-impl ItemState {
-    fn available_votes(&self, down: &BTreeSet<SiteId>) -> u32 {
-        self.copies
-            .iter()
-            .filter(|(s, _)| !down.contains(s) && !self.pinned.contains_key(s))
-            .map(|(_, w)| w)
-            .sum()
-    }
-
-    fn reevaluate(&mut self, now: Time, down: &BTreeSet<SiteId>) {
-        let ok = self.available_votes(down) >= self.read_quorum;
+impl Avail {
+    fn reevaluate(&mut self, now: Time, ok: bool) {
         match (ok, self.open) {
             (false, None) => self.open = Some(now),
             (true, Some(from)) => {
@@ -83,12 +73,76 @@ impl ItemState {
             _ => {}
         }
     }
+
+    fn count(&self) -> u64 {
+        self.windows.len() as u64 + u64::from(self.open.is_some())
+    }
+
+    fn total(&self, now: Time) -> u64 {
+        self.windows.iter().map(|w| w.length(now).0).sum::<u64>()
+            + self.open.map_or(0, |from| now.since(from).0)
+    }
+
+    fn report(&self, item: ItemId) -> ItemAvailability {
+        let mut windows = self.windows.clone();
+        if let Some(from) = self.open {
+            windows.push(Window { from, until: None });
+        }
+        ItemAvailability { item, windows }
+    }
+}
+
+/// True when the live, unpinned copies of a placement muster `r(x)`.
+fn readable(
+    p: &Placement,
+    down: &BTreeSet<SiteId>,
+    pinned: &BTreeMap<SiteId, (TxnId, Time)>,
+) -> bool {
+    let votes: u32 = p
+        .copies
+        .iter()
+        .filter(|(s, _)| !down.contains(s) && !pinned.contains_key(s))
+        .map(|(_, w)| w)
+        .sum();
+    votes >= p.read_quorum
+}
+
+/// An item pinned at least once: from then on it is tracked on its own.
+#[derive(Clone, Debug)]
+struct ItemState {
+    /// Registered catalog and placement index of the item.
+    catalog: usize,
+    placement: usize,
+    /// Live pins: which transaction holds the copy at each site, and
+    /// since when.
+    pinned: BTreeMap<SiteId, (TxnId, Time)>,
+    avail: Avail,
+}
+
+/// A registered catalog. Until an item is first pinned, its
+/// availability depends only on its placement and the down set, so
+/// every never-pinned item of a placement shares one [`Avail`].
+#[derive(Debug)]
+struct Registered {
+    catalog: Arc<Catalog>,
+    /// Per placement: the availability of its never-pinned items.
+    shared: Vec<Avail>,
+    /// Per placement: how many of its items are tracked on their own.
+    split: Vec<u64>,
+}
+
+impl Registered {
+    /// Per placement: how many items still follow the shared state.
+    fn unsplit(&self, p: usize) -> u64 {
+        self.catalog.placement_len(p) as u64 - self.split[p]
+    }
 }
 
 /// Tracks copy pins, site liveness, and the derived per-item
 /// unavailability windows and per-transaction blocked windows.
 #[derive(Debug, Default)]
 pub(crate) struct BlockingTracker {
+    catalogs: Vec<Registered>,
     items: BTreeMap<ItemId, ItemState>,
     down: BTreeSet<SiteId>,
     /// When each (site, txn) was first declared blocked.
@@ -98,35 +152,66 @@ pub(crate) struct BlockingTracker {
 }
 
 impl BlockingTracker {
-    pub(crate) fn register_item(
-        &mut self,
-        item: ItemId,
-        copies: Vec<(SiteId, u32)>,
-        read_quorum: u32,
-    ) {
-        self.items.entry(item).or_insert(ItemState {
-            copies,
-            read_quorum,
-            pinned: BTreeMap::new(),
-            open: None,
-            windows: Vec::new(),
+    /// Registers a catalog's placements and item → placement map.
+    /// Registered catalogs must cover disjoint items (a cluster's
+    /// shards do).
+    pub(crate) fn register_catalog(&mut self, catalog: Arc<Catalog>) {
+        let n = catalog.placements().len();
+        self.catalogs.push(Registered {
+            catalog,
+            shared: vec![Avail::default(); n],
+            split: vec![0; n],
         });
     }
 
-    pub(crate) fn pin_start(&mut self, now: Time, site: SiteId, txn: TxnId, item: ItemId) {
+    fn reevaluate(&mut self, now: Time) {
         let down = &self.down;
-        if let Some(st) = self.items.get_mut(&item) {
-            st.pinned.insert(site, (txn, now));
-            st.reevaluate(now, down);
+        for reg in &mut self.catalogs {
+            for (p, avail) in reg.catalog.placements().iter().zip(&mut reg.shared) {
+                avail.reevaluate(now, readable(p, down, &BTreeMap::new()));
+            }
+        }
+        for st in self.items.values_mut() {
+            let p = &self.catalogs[st.catalog].catalog.placements()[st.placement];
+            st.avail.reevaluate(now, readable(p, down, &st.pinned));
         }
     }
 
+    pub(crate) fn pin_start(&mut self, now: Time, site: SiteId, txn: TxnId, item: ItemId) {
+        let st = match self.items.entry(item) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let Some((c, p)) = self
+                    .catalogs
+                    .iter()
+                    .enumerate()
+                    .find_map(|(c, reg)| reg.catalog.placement_of(item).map(|p| (c, p)))
+                else {
+                    return;
+                };
+                let reg = &mut self.catalogs[c];
+                reg.split[p] += 1;
+                e.insert(ItemState {
+                    catalog: c,
+                    placement: p,
+                    pinned: BTreeMap::new(),
+                    avail: reg.shared[p].clone(),
+                })
+            }
+        };
+        st.pinned.insert(site, (txn, now));
+        let p = &self.catalogs[st.catalog].catalog.placements()[st.placement];
+        st.avail
+            .reevaluate(now, readable(p, &self.down, &st.pinned));
+    }
+
     pub(crate) fn pin_end(&mut self, now: Time, site: SiteId, item: ItemId) {
-        let down = &self.down;
         if let Some(st) = self.items.get_mut(&item) {
             if let Some((_, since)) = st.pinned.remove(&site) {
                 self.pin_time.record(now.since(since));
-                st.reevaluate(now, down);
+                let p = &self.catalogs[st.catalog].catalog.placements()[st.placement];
+                st.avail
+                    .reevaluate(now, readable(p, &self.down, &st.pinned));
             }
         }
     }
@@ -136,21 +221,17 @@ impl BlockingTracker {
         // A crash wipes the site's lock table: its pins evaporate
         // (without contributing pin-time — the copy is simply gone
         // until recovery re-pins it from the WAL).
-        let down = &self.down;
         for st in self.items.values_mut() {
             st.pinned.remove(&site);
-            st.reevaluate(now, down);
         }
+        self.reevaluate(now);
         // Volatile blocked state is also gone.
         self.blocked_since.retain(|(s, _), _| *s != site);
     }
 
     pub(crate) fn recover(&mut self, now: Time, site: SiteId) {
         self.down.remove(&site);
-        let down = &self.down;
-        for st in self.items.values_mut() {
-            st.reevaluate(now, down);
-        }
+        self.reevaluate(now);
     }
 
     pub(crate) fn blocked(&mut self, now: Time, site: SiteId, txn: TxnId) {
@@ -163,53 +244,69 @@ impl BlockingTracker {
         }
     }
 
+    /// Sums `f` over every item: once per item tracked on its own, once
+    /// per placement for all its never-pinned items.
+    fn sum_over_items(&self, f: impl Fn(&Avail) -> u64) -> u64 {
+        let own: u64 = self.items.values().map(|st| f(&st.avail)).sum();
+        let shared: u64 = self
+            .catalogs
+            .iter()
+            .flat_map(|reg| {
+                reg.shared
+                    .iter()
+                    .enumerate()
+                    .map(|(p, avail)| f(avail) * reg.unsplit(p))
+            })
+            .sum();
+        own + shared
+    }
+
     /// Count of *closed* unavailability windows plus currently open ones.
     pub(crate) fn window_count(&self) -> u64 {
-        self.items
-            .values()
-            .map(|s| s.windows.len() as u64 + u64::from(s.open.is_some()))
-            .sum()
+        self.sum_over_items(Avail::count)
     }
 
     /// Total unavailable ticks across items, open windows measured to
     /// `now`.
     pub(crate) fn unavailable_total(&self, now: Time) -> u64 {
-        self.items
-            .values()
-            .map(|s| {
-                s.windows.iter().map(|w| w.length(now).0).sum::<u64>()
-                    + s.open.map_or(0, |from| now.since(from).0)
-            })
-            .sum()
+        self.sum_over_items(|a| a.total(now))
     }
 
-    /// Per-item report (open windows included with `until: None`).
+    /// Per-item report in item order (open windows included with
+    /// `until: None`).
     pub(crate) fn report(&self) -> Vec<ItemAvailability> {
-        self.items
+        let mut out: Vec<ItemAvailability> = self
+            .catalogs
             .iter()
-            .map(|(&item, st)| {
-                let mut windows = st.windows.clone();
-                if let Some(from) = st.open {
-                    windows.push(Window { from, until: None });
-                }
-                ItemAvailability { item, windows }
+            .flat_map(|reg| {
+                reg.catalog
+                    .assignment()
+                    .map(|(item, p)| match self.items.get(&item) {
+                        Some(st) => st.avail.report(item),
+                        None => reg.shared[p].report(item),
+                    })
             })
-            .collect()
+            .collect();
+        out.sort_by_key(|a| a.item);
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qbc_votes::CatalogBuilder;
 
     fn tracker() -> BlockingTracker {
         let mut t = BlockingTracker::default();
         // Item 0: three single-vote copies, r = 2.
-        t.register_item(
-            ItemId(0),
-            vec![(SiteId(0), 1), (SiteId(1), 1), (SiteId(2), 1)],
-            2,
-        );
+        let catalog = CatalogBuilder::new()
+            .item(ItemId(0))
+            .copies_at([SiteId(0), SiteId(1), SiteId(2)])
+            .quorums(2, 2)
+            .build()
+            .unwrap();
+        t.register_catalog(Arc::new(catalog));
         t
     }
 
@@ -260,6 +357,57 @@ mod tests {
         // A decision without a prior blocked declaration records nothing.
         t.decided(Time(500), SiteId(2), TxnId(8));
         assert_eq!(t.blocked_window.count(), 1);
+    }
+
+    #[test]
+    fn crashes_open_windows_for_never_pinned_items_too() {
+        // Items 0..3 share one placement (r = 2 of 3); item 3 has its
+        // own, on sites 3..5, which never go down.
+        let catalog = CatalogBuilder::new()
+            .item(ItemId(0))
+            .copies_at([SiteId(0), SiteId(1), SiteId(2)])
+            .quorums(2, 2)
+            .item(ItemId(1))
+            .copies_at([SiteId(0), SiteId(1), SiteId(2)])
+            .quorums(2, 2)
+            .item(ItemId(2))
+            .copies_at([SiteId(0), SiteId(1), SiteId(2)])
+            .quorums(2, 2)
+            .item(ItemId(3))
+            .copies_at([SiteId(3), SiteId(4), SiteId(5)])
+            .quorums(2, 2)
+            .build()
+            .unwrap();
+        let mut t = BlockingTracker::default();
+        t.register_catalog(Arc::new(catalog));
+        // Item 1 is pinned at site 2 before the crashes: tracked on its
+        // own from then on.
+        t.pin_start(Time(5), SiteId(2), TxnId(1), ItemId(1));
+        t.crash(Time(10), SiteId(0)); // items 0 and 2: 2 of 3 left
+        assert_eq!(t.window_count(), 1); // item 1: site 0 down + pin
+        t.crash(Time(20), SiteId(1)); // items 0 and 2 drop below r
+        assert_eq!(t.window_count(), 3);
+        t.recover(Time(50), SiteId(1));
+        t.recover(Time(60), SiteId(0));
+        // Items 0 and 2: [20, 50); item 1: [10, 60) (its crashed pin
+        // site 2 stays up, the pin is still held).
+        assert_eq!(t.unavailable_total(Time(100)), 30 + 30 + 50);
+        let rep = t.report();
+        let windows: Vec<(ItemId, Vec<Window>)> =
+            rep.into_iter().map(|a| (a.item, a.windows)).collect();
+        let w = |from, until| Window {
+            from: Time(from),
+            until: Some(Time(until)),
+        };
+        assert_eq!(
+            windows,
+            vec![
+                (ItemId(0), vec![w(20, 50)]),
+                (ItemId(1), vec![w(10, 60)]),
+                (ItemId(2), vec![w(20, 50)]),
+                (ItemId(3), vec![]),
+            ]
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::hist::LatencyHistogram;
 use crate::registry::Registry;
 use qbc_core::{Decision, TxnId};
 use qbc_simnet::{Duration, SiteId, Time};
-use qbc_votes::ItemId;
+use qbc_votes::Catalog;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -162,12 +162,12 @@ impl Obs {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Declares an item's replication shape to the blocking tracker
-    /// (called once per catalog item at cluster construction).
-    pub fn register_item(&self, item: ItemId, copies: Vec<(SiteId, u32)>, read_quorum: u32) {
-        self.lock()
-            .blocking
-            .register_item(item, copies, read_quorum);
+    /// Declares a catalog's placements and item → placement map to the
+    /// blocking tracker (called once per shard catalog at cluster
+    /// construction; catalogs must cover disjoint items). The catalog
+    /// is shared, not copied.
+    pub fn register_catalog(&self, catalog: Arc<Catalog>) {
+        self.lock().blocking.register_catalog(catalog);
     }
 
     /// Counts one network message leaving a site (`label` is the wire
@@ -706,7 +706,13 @@ mod tests {
     #[test]
     fn registry_snapshot_passes_its_own_validation() {
         let obs = Obs::new(ObsConfig::on());
-        obs.register_item(ItemId(0), vec![(SiteId(0), 1), (SiteId(1), 1)], 1);
+        let catalog = qbc_votes::CatalogBuilder::new()
+            .item(qbc_votes::ItemId(0))
+            .copies_at([SiteId(0), SiteId(1)])
+            .quorums(1, 2)
+            .build()
+            .unwrap();
+        obs.register_catalog(Arc::new(catalog));
         obs.note_msg("VOTE-REQ");
         obs.record(ev(
             0,

@@ -86,6 +86,11 @@ impl<R, V: Clone, W: WalBackend<R>> SiteStorage<R, V, W> {
         self.items.initialize(item, value);
     }
 
+    /// Reserves room for `additional` more item copies.
+    pub fn reserve_items(&mut self, additional: usize) {
+        self.items.reserve(additional);
+    }
+
     /// Applies a committed update durably.
     pub fn apply_update(
         &mut self,
@@ -133,9 +138,10 @@ impl<R, V: Clone, W: WalBackend<R>> SiteStorage<R, V, W> {
         self.items.install_chain(item, chain);
     }
 
-    /// Items stored at this site.
-    pub fn items(&self) -> impl Iterator<Item = ItemId> + '_ {
-        self.items.items()
+    /// Every local copy with its retained version chain (ascending),
+    /// in id order.
+    pub fn item_chains(&self) -> impl Iterator<Item = (ItemId, &[(Version, V)])> + '_ {
+        self.items.chains()
     }
 
     /// Marks a crash: durable state is retained, buffered (unforced) log
@@ -190,7 +196,7 @@ mod tests {
         let mut st: SiteStorage<Rec, i64> = SiteStorage::new();
         st.initialize_item(ItemId(3), 0);
         st.initialize_item(ItemId(1), 0);
-        let items: Vec<ItemId> = st.items().collect();
+        let items: Vec<ItemId> = st.item_chains().map(|(i, _)| i).collect();
         assert_eq!(items, vec![ItemId(1), ItemId(3)]);
     }
 

@@ -13,8 +13,13 @@
 //! length is bounded by `retention` (default 1, i.e. the classic
 //! single-slot behaviour) and further trimmed by [`VersionedStore::
 //! gc_below`] once a watermark has passed a version.
+//!
+//! Layout: all of a site's copies sit in one id-ordered [`ItemTable`]
+//! allocation. A chain holding a single version keeps it inline in its
+//! slot; only a chain that retains older versions (retention > 1)
+//! spills into a vector of its own.
 
-use qbc_votes::{FastMap, ItemId, Version};
+use qbc_votes::{ItemId, ItemTable, Version};
 
 /// Error applying a versioned write.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,22 +52,71 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+/// One item's retained versions, ascending: inline while it holds a
+/// single version, a vector once older versions are retained.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Chain<V> {
+    One((Version, V)),
+    Many(Vec<(Version, V)>),
+}
+
+impl<V> Chain<V> {
+    fn as_slice(&self) -> &[(Version, V)] {
+        match self {
+            Chain::One(entry) => std::slice::from_ref(entry),
+            Chain::Many(entries) => entries,
+        }
+    }
+
+    fn newest(&self) -> &(Version, V) {
+        self.as_slice().last().expect("a chain is never empty")
+    }
+
+    /// Appends a newer version, then drops the oldest beyond `retention`.
+    fn push(&mut self, entry: (Version, V), retention: usize) {
+        if retention == 1 {
+            *self = Chain::One(entry);
+            return;
+        }
+        let mut entries = match std::mem::replace(self, Chain::Many(Vec::new())) {
+            Chain::One(old) => vec![old],
+            Chain::Many(entries) => entries,
+        };
+        entries.push(entry);
+        if entries.len() > retention {
+            let excess = entries.len() - retention;
+            entries.drain(..excess);
+        }
+        *self = Chain::Many(entries);
+    }
+
+    /// Drops every entry older than the one at `keep_from`, moving a
+    /// lone survivor back inline.
+    fn keep_from(&mut self, keep_from: usize) {
+        if let Chain::Many(entries) = self {
+            entries.drain(..keep_from);
+            if entries.len() == 1 {
+                *self = Chain::One(entries.pop().expect("one entry"));
+            }
+        }
+    }
+}
+
 /// A durable map from item to a bounded chain of `(version, value)`
 /// pairs (ascending, newest last) for the copies a site replicates.
-/// Copies are keyed by a deterministic hash map: the store sits on the
-/// per-message hot path (version witnesses, update installs) and is
-/// only ever read by key; [`VersionedStore::items`] sorts, so no
-/// observer sees hash order and determinism is unaffected.
+/// The copies live in one id-ordered table: a lookup is O(1) when the
+/// site's item ids are contiguous, and [`VersionedStore::items`] walks
+/// them in id order with nothing to sort.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VersionedStore<V> {
-    copies: FastMap<ItemId, Vec<(Version, V)>>,
+    copies: ItemTable<Chain<V>>,
     retention: usize,
 }
 
 impl<V> Default for VersionedStore<V> {
     fn default() -> Self {
         VersionedStore {
-            copies: FastMap::default(),
+            copies: ItemTable::new(),
             retention: 1,
         }
     }
@@ -79,7 +133,7 @@ impl<V: Clone> VersionedStore<V> {
     /// (clamped to at least 1).
     pub fn with_retention(retention: usize) -> Self {
         VersionedStore {
-            copies: FastMap::default(),
+            copies: ItemTable::new(),
             retention: retention.max(1),
         }
     }
@@ -95,18 +149,25 @@ impl<V: Clone> VersionedStore<V> {
         self.retention
     }
 
+    /// Reserves room for `additional` more items (a bulk load in id
+    /// order then fills one allocation).
+    pub fn reserve(&mut self, additional: usize) {
+        self.copies.reserve(additional);
+    }
+
     /// Initialises a copy at `Version::INITIAL` (database load time).
     pub fn initialize(&mut self, item: ItemId, value: V) {
-        self.copies.insert(item, vec![(Version::INITIAL, value)]);
+        self.copies
+            .insert(item, Chain::One((Version::INITIAL, value)));
     }
 
     /// The newest stored `(version, value)` of an item, if this site
     /// has a copy.
     pub fn read(&self, item: ItemId) -> Option<(Version, &V)> {
-        self.copies
-            .get(&item)
-            .and_then(|chain| chain.last())
-            .map(|(v, val)| (*v, val))
+        self.copies.get(item).map(|chain| {
+            let (v, val) = chain.newest();
+            (*v, val)
+        })
     }
 
     /// The newest stored version ≤ `at`, or — when every retained
@@ -114,7 +175,7 @@ impl<V: Clone> VersionedStore<V> {
     /// keeps reads total (a copy always answers) and monotone per
     /// site: a chain's oldest entry only ever advances.
     pub fn read_at(&self, item: ItemId, at: Version) -> Option<(Version, &V)> {
-        let chain = self.copies.get(&item)?;
+        let chain = self.copies.get(item)?.as_slice();
         chain
             .iter()
             .rev()
@@ -130,7 +191,7 @@ impl<V: Clone> VersionedStore<V> {
 
     /// The full retained chain of an item, ascending by version.
     pub fn versions(&self, item: ItemId) -> Option<&[(Version, V)]> {
-        self.copies.get(&item).map(|chain| chain.as_slice())
+        self.copies.get(item).map(Chain::as_slice)
     }
 
     /// Applies a committed write. The offered version must exceed the
@@ -138,29 +199,23 @@ impl<V: Clone> VersionedStore<V> {
     /// impossible; a regression indicates a protocol bug). Superseded
     /// versions beyond the retention bound are dropped oldest-first.
     pub fn apply(&mut self, item: ItemId, version: Version, value: V) -> Result<(), StoreError> {
-        match self.copies.get_mut(&item) {
+        match self.copies.get_mut(item) {
             Some(chain) => {
-                if let Some((stored, _)) = chain.last() {
-                    if *stored >= version {
-                        return Err(StoreError::VersionRegression {
-                            item,
-                            stored: *stored,
-                            offered: version,
-                        });
-                    }
+                let stored = chain.newest().0;
+                if stored >= version {
+                    return Err(StoreError::VersionRegression {
+                        item,
+                        stored,
+                        offered: version,
+                    });
                 }
-                chain.push((version, value));
-                if chain.len() > self.retention {
-                    let excess = chain.len() - self.retention;
-                    chain.drain(..excess);
-                }
-                Ok(())
+                chain.push((version, value), self.retention);
             }
             None => {
-                self.copies.insert(item, vec![(version, value)]);
-                Ok(())
+                self.copies.insert(item, Chain::One((version, value)));
             }
         }
+        Ok(())
     }
 
     /// Drops versions made unreachable by a watermark: for each item,
@@ -170,8 +225,8 @@ impl<V: Clone> VersionedStore<V> {
     /// the watermark, and the newest-≤-watermark entry itself, stay.
     pub fn gc_below(&mut self, watermark: Version) {
         for chain in self.copies.values_mut() {
-            if let Some(keep_from) = chain.iter().rposition(|(v, _)| *v <= watermark) {
-                chain.drain(..keep_from);
+            if let Some(keep_from) = chain.as_slice().iter().rposition(|(v, _)| *v <= watermark) {
+                chain.keep_from(keep_from);
             }
         }
     }
@@ -186,10 +241,15 @@ impl<V: Clone> VersionedStore<V> {
     }
 
     /// Items this site holds copies of, in id order.
-    pub fn items(&self) -> impl Iterator<Item = ItemId> {
-        let mut items: Vec<ItemId> = self.copies.keys().copied().collect();
-        items.sort_unstable();
-        items.into_iter()
+    pub fn items(&self) -> impl Iterator<Item = ItemId> + '_ {
+        self.copies.ids()
+    }
+
+    /// Every copy with its retained chain (ascending), in id order.
+    pub fn chains(&self) -> impl Iterator<Item = (ItemId, &[(Version, V)])> + '_ {
+        self.copies
+            .iter()
+            .map(|(item, chain)| (item, chain.as_slice()))
     }
 
     /// Number of items with at least one copy stored.

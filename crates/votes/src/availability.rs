@@ -115,18 +115,18 @@ pub fn analyze(
     };
     for comp in components {
         let mut access = BTreeMap::new();
-        for spec in catalog.items() {
-            let votes: u32 = spec
+        for (id, placement) in catalog.items() {
+            let votes: u32 = placement
                 .copies
                 .iter()
-                .filter(|(s, _)| comp.contains(s) && !blocked(**s, spec.id))
+                .filter(|(s, _)| comp.contains(s) && !blocked(**s, id))
                 .map(|(_, &w)| w)
                 .sum();
             access.insert(
-                spec.id,
+                id,
                 ItemAccess {
-                    readable: votes >= spec.read_quorum,
-                    writable: votes >= spec.write_quorum,
+                    readable: votes >= placement.read_quorum,
+                    writable: votes >= placement.write_quorum,
                 },
             );
         }
@@ -142,10 +142,10 @@ mod tests {
 
     fn example1_catalog() -> Catalog {
         CatalogBuilder::new()
-            .item(ItemId(0), "x")
+            .item(ItemId(0))
             .copies_at([SiteId(1), SiteId(2), SiteId(3), SiteId(4)])
             .quorums(2, 3)
-            .item(ItemId(1), "y")
+            .item(ItemId(1))
             .copies_at([SiteId(5), SiteId(6), SiteId(7), SiteId(8)])
             .quorums(2, 3)
             .build()

@@ -130,14 +130,14 @@ impl fmt::Display for VoteError {
 
 impl std::error::Error for VoteError {}
 
-/// The replication specification of one data item: where its copies live,
-/// how many votes each copy carries, and its read/write quorums.
+/// A replica placement: where an item's copies live, how many votes
+/// each copy carries, and its read/write quorums.
+///
+/// Every item of a [`crate::Catalog`] points at one placement, and items
+/// with the same copies and quorums share it: a catalog stores each
+/// distinct placement once, however many items use it.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ItemSpec {
-    /// Item identifier.
-    pub id: ItemId,
-    /// Human-readable name (the paper's `x`, `y`, ...).
-    pub name: String,
+pub struct Placement {
     /// Vote weight of the copy stored at each site.
     pub copies: BTreeMap<SiteId, u32>,
     /// Read quorum `r(x)`.
@@ -146,15 +146,33 @@ pub struct ItemSpec {
     pub write_quorum: u32,
 }
 
-impl ItemSpec {
-    /// Total votes `v(x)` of the item.
+impl Placement {
+    /// A placement with the given weighted copies and quorums.
+    pub fn new(
+        copies: impl IntoIterator<Item = (SiteId, u32)>,
+        read_quorum: u32,
+        write_quorum: u32,
+    ) -> Self {
+        Placement {
+            copies: copies.into_iter().collect(),
+            read_quorum,
+            write_quorum,
+        }
+    }
+
+    /// Total votes `v(x)` of an item with this placement.
     pub fn total_votes(&self) -> u32 {
         self.copies.values().sum()
     }
 
-    /// The sites storing a copy of this item.
+    /// The sites storing a copy.
     pub fn sites(&self) -> impl Iterator<Item = SiteId> + '_ {
         self.copies.keys().copied()
+    }
+
+    /// True when `site` stores a copy.
+    pub fn holds(&self, site: SiteId) -> bool {
+        self.copies.contains_key(&site)
     }
 
     /// Vote weight of the copy at `site` (zero when no copy there).
@@ -167,34 +185,35 @@ impl ItemSpec {
         sites.into_iter().map(|s| self.weight_at(*s)).sum()
     }
 
-    /// True when the given sites muster a read quorum for this item.
+    /// True when the given sites muster a read quorum.
     pub fn read_quorum_among(&self, sites: &BTreeSet<SiteId>) -> bool {
         self.votes_among(sites) >= self.read_quorum
     }
 
-    /// True when the given sites muster a write quorum for this item.
+    /// True when the given sites muster a write quorum.
     pub fn write_quorum_among(&self, sites: &BTreeSet<SiteId>) -> bool {
         self.votes_among(sites) >= self.write_quorum
     }
 
-    /// Validates Gifford's two constraints plus basic sanity.
-    pub fn validate(&self) -> Result<(), VoteError> {
+    /// Validates Gifford's two constraints plus basic sanity. Errors
+    /// name `item`, an item that uses this placement.
+    pub fn validate(&self, item: ItemId) -> Result<(), VoteError> {
         if self.copies.is_empty() {
-            return Err(VoteError::NoCopies(self.id));
+            return Err(VoteError::NoCopies(item));
         }
         for (&s, &w) in &self.copies {
             if w == 0 {
-                return Err(VoteError::ZeroWeight(self.id, s));
+                return Err(VoteError::ZeroWeight(item, s));
             }
         }
         if self.read_quorum == 0 || self.write_quorum == 0 {
-            return Err(VoteError::ZeroQuorum(self.id));
+            return Err(VoteError::ZeroQuorum(item));
         }
         let total = self.total_votes();
         for q in [self.read_quorum, self.write_quorum] {
             if q > total {
                 return Err(VoteError::QuorumTooLarge {
-                    item: self.id,
+                    item,
                     quorum: q,
                     total,
                 });
@@ -202,7 +221,7 @@ impl ItemSpec {
         }
         if self.read_quorum + self.write_quorum <= total {
             return Err(VoteError::ReadWriteOverlap {
-                item: self.id,
+                item,
                 read: self.read_quorum,
                 write: self.write_quorum,
                 total,
@@ -210,7 +229,7 @@ impl ItemSpec {
         }
         if 2 * self.write_quorum <= total {
             return Err(VoteError::WriteMajority {
-                item: self.id,
+                item,
                 write: self.write_quorum,
                 total,
             });
@@ -223,21 +242,15 @@ impl ItemSpec {
 mod tests {
     use super::*;
 
-    fn spec(weights: &[(u32, u32)], r: u32, w: u32) -> ItemSpec {
-        ItemSpec {
-            id: ItemId(1),
-            name: "x".into(),
-            copies: weights.iter().map(|&(s, v)| (SiteId(s), v)).collect(),
-            read_quorum: r,
-            write_quorum: w,
-        }
+    fn spec(weights: &[(u32, u32)], r: u32, w: u32) -> Placement {
+        Placement::new(weights.iter().map(|&(s, v)| (SiteId(s), v)), r, w)
     }
 
     #[test]
     fn paper_example_assignment_is_valid() {
         // Example 1: each copy has 1 vote, r = 2, w = 3, 4 copies.
         let s = spec(&[(1, 1), (2, 1), (3, 1), (4, 1)], 2, 3);
-        assert_eq!(s.validate(), Ok(()));
+        assert_eq!(s.validate(ItemId(1)), Ok(()));
         assert_eq!(s.total_votes(), 4);
     }
 
@@ -245,7 +258,7 @@ mod tests {
     fn read_write_overlap_enforced() {
         let s = spec(&[(1, 1), (2, 1), (3, 1), (4, 1)], 1, 3);
         assert!(matches!(
-            s.validate(),
+            s.validate(ItemId(1)),
             Err(VoteError::ReadWriteOverlap { .. })
         ));
     }
@@ -253,20 +266,26 @@ mod tests {
     #[test]
     fn write_majority_enforced() {
         let s = spec(&[(1, 1), (2, 1), (3, 1), (4, 1)], 3, 2);
-        assert!(matches!(s.validate(), Err(VoteError::WriteMajority { .. })));
+        assert!(matches!(
+            s.validate(ItemId(1)),
+            Err(VoteError::WriteMajority { .. })
+        ));
     }
 
     #[test]
     fn zero_weight_rejected() {
         let s = spec(&[(1, 0), (2, 2), (3, 2)], 2, 3);
-        assert!(matches!(s.validate(), Err(VoteError::ZeroWeight(_, _))));
+        assert!(matches!(
+            s.validate(ItemId(1)),
+            Err(VoteError::ZeroWeight(_, _))
+        ));
     }
 
     #[test]
     fn quorum_larger_than_total_rejected() {
         let s = spec(&[(1, 1), (2, 1)], 3, 2);
         assert!(matches!(
-            s.validate(),
+            s.validate(ItemId(1)),
             Err(VoteError::QuorumTooLarge { .. })
         ));
     }
@@ -274,13 +293,13 @@ mod tests {
     #[test]
     fn no_copies_rejected() {
         let s = spec(&[], 1, 1);
-        assert!(matches!(s.validate(), Err(VoteError::NoCopies(_))));
+        assert!(matches!(s.validate(ItemId(1)), Err(VoteError::NoCopies(_))));
     }
 
     #[test]
     fn weighted_copies_count_correctly() {
         let s = spec(&[(1, 3), (2, 1), (3, 1)], 2, 4);
-        assert_eq!(s.validate(), Ok(()));
+        assert_eq!(s.validate(ItemId(1)), Ok(()));
         let g: BTreeSet<SiteId> = [SiteId(1)].into();
         assert!(s.read_quorum_among(&g), "3 votes at s1 beat r=2");
         assert!(!s.write_quorum_among(&g), "3 votes at s1 miss w=4");

@@ -8,8 +8,10 @@
 //!
 //! This crate provides:
 //!
-//! * [`ItemSpec`]/[`Catalog`] — per-item copy placement, vote weights and
-//!   quorum parameters, with constraint validation;
+//! * [`Placement`]/[`Catalog`] — copy placement, vote weights and quorum
+//!   parameters, with constraint validation. A catalog stores each
+//!   distinct placement once and maps items to placements through a
+//!   flat, id-ordered [`ItemTable`], so an item costs one index entry;
 //! * [`CatalogBuilder`] — fluent construction (including `majority()` and
 //!   `read_one_write_all()` presets);
 //! * quorum arithmetic over arbitrary site sets (the primitive queried by
@@ -24,10 +26,12 @@
 pub mod availability;
 mod catalog;
 mod item;
+mod table;
 
 pub use availability::{analyze, AccessReport, ItemAccess};
 pub use catalog::{Catalog, CatalogBuilder};
-pub use item::{ItemId, ItemSpec, Version, VoteError};
+pub use item::{ItemId, Placement, Version, VoteError};
+pub use table::ItemTable;
 // Re-export so downstream crates keyed on item/txn ids can reach the
 // deterministic hasher without an extra dependency edge.
 pub use qbc_simnet::{FastBuildHasher, FastHasher, FastMap};
@@ -39,26 +43,22 @@ mod proptests {
     use qbc_simnet::SiteId;
     use std::collections::BTreeSet;
 
-    /// Strategy: a valid item spec over up to 8 sites with weights 1..=3,
-    /// majority-style quorums.
-    fn arb_valid_spec() -> impl Strategy<Value = ItemSpec> {
+    /// Strategy: a valid placement over up to 8 sites with weights
+    /// 1..=3, majority-style quorums.
+    fn arb_valid_spec() -> impl Strategy<Value = Placement> {
         (2usize..=8).prop_flat_map(|n| {
             proptest::collection::vec(1u32..=3, n).prop_map(move |weights| {
-                let copies: std::collections::BTreeMap<SiteId, u32> = weights
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &w)| (SiteId(i as u32), w))
-                    .collect();
-                let total: u32 = copies.values().sum();
+                let total: u32 = weights.iter().sum();
                 let write = total / 2 + 1;
                 let read = total - write + 1;
-                ItemSpec {
-                    id: ItemId(0),
-                    name: "p".into(),
-                    copies,
-                    read_quorum: read,
-                    write_quorum: write,
-                }
+                Placement::new(
+                    weights
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &w)| (SiteId(i as u32), w)),
+                    read,
+                    write,
+                )
             })
         })
     }
@@ -67,7 +67,7 @@ mod proptests {
         /// Majority-style assignments always satisfy Gifford's constraints.
         #[test]
         fn generated_specs_validate(spec in arb_valid_spec()) {
-            prop_assert_eq!(spec.validate(), Ok(()));
+            prop_assert_eq!(spec.validate(ItemId(0)), Ok(()));
         }
 
         /// Core safety of weighted voting: a read quorum and a write

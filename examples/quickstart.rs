@@ -14,7 +14,7 @@ fn main() {
     // 1. Describe the replicated data: one item `x`, a copy at each of
     //    five sites, one vote per copy, majority quorums (r=3, w=3).
     let catalog = CatalogBuilder::new()
-        .item(ItemId(0), "x")
+        .item(ItemId(0))
         .copies_at(sites(5))
         .majority()
         .build()

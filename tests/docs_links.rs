@@ -131,6 +131,7 @@ fn docs_references_to_code_paths_exist() {
         "crates/reactor/src/frame.rs",
         "crates/reactor/src/wire.rs",
         "crates/cluster/tests/reactor.rs",
+        "crates/cluster/tests/spawn_cost.rs",
         "crates/harness/src/open_loop.rs",
         "BENCH_e14.json",
         "BENCH_e15.json",

@@ -7,7 +7,7 @@ use quorum_commit::votes::{Catalog, CatalogBuilder, ItemId};
 
 fn catalog(n: u32) -> Catalog {
     CatalogBuilder::new()
-        .item(ItemId(0), "x")
+        .item(ItemId(0))
         .copies_at(sites(n))
         .quorums(2, n - 1)
         .build()

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 fn cluster(n: u32) -> Vec<(SiteId, SiteNode)> {
     let catalog = CatalogBuilder::new()
-        .item(ItemId(0), "x")
+        .item(ItemId(0))
         .copies_at(sites(n))
         .majority()
         .build()
